@@ -73,6 +73,18 @@ class Graph:
             adj[j] |= 1 << i
         return tuple(adj)
 
+    @cached_property
+    def _removal_counts(self) -> bytearray:
+        """Components left after removing each vertex bitmask: 2^n entries.
+
+        Component counts fit a byte.  Only cut_sets reads this, after
+        checking n against its vertex bound.
+        """
+        adj = self.adjacency_masks
+        return bytearray(
+            _component_count(adj, self.n, mask) for mask in range(1 << self.n)
+        )
+
 
 def edge_presentation(g: Graph) -> BinomialPresentation:
     """One exponent vector per edge on variables x1..xn, y1..yn.
@@ -151,11 +163,7 @@ def cut_sets(
         raise TooManyVertices(
             f"{g.n} vertices exceed the cut-set enumeration bound {max_vertices}"
         )
-    adj = g.adjacency_masks
-    # component counts fit a byte; the table has 2^n entries
-    counts = bytearray(1 << g.n)
-    for mask in range(1 << g.n):
-        counts[mask] = _component_count(adj, g.n, mask)
+    counts = g._removal_counts
     out = []
     for mask in range(1 << g.n):
         c = counts[mask]
@@ -184,6 +192,7 @@ class EdgeIdealHeightReport:
     bigheight_witness: tuple[int, ...]
     unmixed: bool
     bounds: HeightBoundReport
+    cut_sets: tuple[tuple[int, ...], ...]
 
     def statement(self) -> str:
         if self.unmixed:
@@ -216,10 +225,11 @@ def height_report(
         raise InternalInvariantViolation(
             "incidence matrix rank disagrees with n - components"
         )
+    sets = cut_sets(g, max_vertices=max_vertices)
+    counts = g._removal_counts
     # the empty set always qualifies, so the list is never empty
     values = [
-        (len(w) + g.n - components_after_removal(g, w), w)
-        for w in cut_sets(g, max_vertices=max_vertices)
+        (len(w) + g.n - counts[sum(1 << v for v in w)], w) for w in sets
     ]
     height, height_witness = min(values, key=lambda t: t[0])
     bigheight, bigheight_witness = max(values, key=lambda t: t[0])
@@ -239,4 +249,5 @@ def height_report(
         bigheight_witness=bigheight_witness,
         unmixed=height == bigheight,
         bounds=bounds,
+        cut_sets=sets,
     )

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InternalInvariantViolation, LengthMismatch, ZeroGenerator
+from .errors import (
+    InternalInvariantViolation,
+    LengthMismatch,
+    MalformedInput,
+    ZeroGenerator,
+)
 from .linalg import (
     IntegerMatrix,
     lattice_basis,
@@ -39,7 +44,7 @@ def from_monomial_pair(u: Sequence[int], w: Sequence[int]) -> ExponentVector:
     if len(u) != len(w):
         raise LengthMismatch(f"monomials of lengths {len(u)} and {len(w)}")
     if any(x < 0 for x in u) or any(x < 0 for x in w):
-        raise ValueError("monomial exponents must be nonnegative")
+        raise MalformedInput("monomial exponents must be nonnegative")
     return tuple(int(a) - int(b) for a, b in zip(u, w))
 
 

@@ -19,7 +19,7 @@ import json
 import sys
 from typing import Any, Sequence
 
-from .bedge import Graph, cut_sets, edge_presentation
+from .bedge import Graph, edge_presentation
 from .bedge import height_report as bedge_height_report
 from .binomial import BinomialPresentation, height_bounds
 from .errors import DomainError, MalformedInput
@@ -35,8 +35,6 @@ from .polyomino import (
     CellCollection,
     ascii_art,
     fills_bounding_box,
-    inner_intervals,
-    inner_minor_presentation,
 )
 from .polyomino import height_report as poly_height_report
 from .polyomino import isolated_singularity_verdict as poly_isolated
@@ -209,16 +207,11 @@ def _cmd_jacobian(args, data: dict) -> tuple[dict, list[str]]:
     }
     caveats = []
     if args.isolated:
-        iso = isolated_singularity_by_jacobian(
-            pres, power_cap=args.power_cap, cap=args.cap
-        )
+        iso = isolated_singularity_by_jacobian(pres, cap=args.cap)
         results["isolated"] = {
             "verdict": iso.verdict,
             "method": iso.method,
             "zero_ideal": iso.zero_ideal,
-            "witness_powers": list(iso.witness_powers)
-            if iso.witness_powers is not None
-            else None,
             "note": iso.note,
         }
         caveats.append(iso.caveat)
@@ -238,14 +231,14 @@ def _cmd_polyomino(args, data: dict) -> tuple[dict, list[str]]:
         "connected": connected,
         "simple": rep.simple if connected else None,
         "rectangle": fills_bounding_box(collection),
-        "interval_count": len(inner_intervals(collection, cap=args.cap)),
+        "interval_count": len(rep.presentation.generators),
         "span_dim": rep.bounds.span_dim,
         "statement": rep.statement(),
         "picture": ascii_art(collection).split("\n"),
     }
     caveats = []
     if args.presentation:
-        pres = inner_minor_presentation(collection, cap=args.cap)
+        pres = rep.presentation
         results["presentation"] = {
             "variables": list(pres.variable_names),
             "generators": [list(g) for g in pres.generators],
@@ -275,7 +268,7 @@ def _cmd_bedge(args, data: dict) -> tuple[dict, list[str]]:
         "height_witness": list(rep.height_witness),
         "bigheight_witness": list(rep.bigheight_witness),
         "unmixed": rep.unmixed,
-        "cut_sets": [list(w) for w in cut_sets(g)],
+        "cut_sets": [list(w) for w in rep.cut_sets],
         "statement": rep.statement(),
     }
     if args.presentation:
@@ -324,9 +317,7 @@ def _cmd_hibi(args, data: dict) -> tuple[dict, list[str]]:
         }
         caveats.append(verdict.caveat)
     if args.jacobian_crosscheck:
-        iso = isolated_singularity_by_jacobian(
-            pres.toric, power_cap=args.power_cap, cap=args.cap
-        )
+        iso = isolated_singularity_by_jacobian(pres.toric, cap=args.cap)
         effective = bool(iso.verdict) or iso.zero_ideal
         results["jacobian_crosscheck"] = {
             "verdict": iso.verdict,
@@ -413,12 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--isolated", action="store_true", help="decide isolatedness of the singular locus"
     )
-    p.add_argument(
-        "--power-cap",
-        type=int,
-        default=16,
-        help="largest variable power tried by the witness search (default %(default)s)",
-    )
 
     p = sub.add_parser(
         "polyomino",
@@ -467,12 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jacobian-crosscheck",
         action="store_true",
         help="decide isolatedness independently through the Jacobian ideal",
-    )
-    p.add_argument(
-        "--power-cap",
-        type=int,
-        default=16,
-        help="largest variable power tried by the witness search (default %(default)s)",
     )
     return parser
 

@@ -1,7 +1,7 @@
 """Lattices of poset ideals and the binomial relations among them.
 
 The down-closed subsets of a finite poset form a distributive lattice under
-union and join; assigning one variable per ideal, the straightening relations
+union and intersection; assigning one variable per ideal, the straightening relations
 y_I y_J - y_(I meet J) y_(I join J) over inclusion-incomparable pairs present
 the associated semigroup ring.  The configuration has one row for a global
 counter and one per poset element, with 0/1 columns recording membership, so

@@ -90,6 +90,11 @@ class CellCollection:
         ys = [c[1] for c in self.cells]
         return (min(xs), min(ys), max(xs), max(ys))
 
+    @cached_property
+    def vertex_index(self) -> dict[Cell, int]:
+        """Position of each vertex in the sorted vertex basis."""
+        return {v: k for k, v in enumerate(self.vertices)}
+
 
 def inner_intervals(
     collection: CellCollection, cap: int = DEFAULT_ENUMERATION_CAP
@@ -128,7 +133,7 @@ def interval_vector(
         raise MalformedInput(
             f"corners {a!r}, {b!r} do not span a proper rectangle"
         )
-    index = {v: k for k, v in enumerate(collection.vertices)}
+    index = collection.vertex_index
     vec = [0] * len(index)
     try:
         vec[index[a]] += 1
@@ -162,6 +167,7 @@ class PolyominoHeightReport:
     connected: bool
     simple: bool
     bounds: HeightBoundReport
+    presentation: BinomialPresentation  # one generator per inner interval
 
     def statement(self) -> str:
         return self.bounds.statement()
@@ -190,6 +196,7 @@ def height_report(
         connected=connected,
         simple=simple,
         bounds=bounds,
+        presentation=pres,
     )
 
 

@@ -7,20 +7,16 @@ of the coefficient matrix H generate the Jacobian ideal up to monomial
 factors; everything here runs on that combinatorial shadow with exact integer
 arithmetic.
 
-The isolated-singularity decision has two strategies:
-
-* power-witness: enumerate the Jacobian generators literally and search for a
-  power of each semigroup generator inside the ideal (bounded by power_cap);
-* face-decomposition: used when the minor enumeration is too large or the
-  witness search is undecided.  Nonzero rank-sized minors of H factor as
-  (row basis) x (column basis) of H's two matroids, every Jacobian generator
-  is a semigroup element, and the quotient by the Jacobian ideal is
-  zero-dimensional exactly when every face of cone(A) of dimension >= 1
-  contains a Jacobian generator.  Per face that reduces to comparing a greedy
-  minimum-weight row basis against a greedy maximum-weight column basis.
-
-Both strategies are exact; they were cross-validated against each other on
-every small case the test suite enumerates.
+The isolated-singularity decision is one exact procedure on the extreme rays
+of cone(A).  The quotient by the Jacobian ideal is zero-dimensional exactly
+when every face of cone(A) of dimension >= 1 contains a Jacobian generator.
+Every such face of the pointed cone contains an extreme ray, and a generator
+on a ray lies on every face containing it, so checking the rays suffices.
+Nonzero rank-sized minors of H factor as (row basis) x (column basis) of H's
+two matroids and every Jacobian generator is a semigroup element, so per ray
+the check compares a greedy minimum-weight row basis against a greedy
+maximum-weight column basis under a functional that vanishes exactly on the
+ray.  The literal minor enumeration serves only the generator listing.
 """
 
 from __future__ import annotations
@@ -73,11 +69,6 @@ RANK_CONSISTENT_NOTE = (
     "generators are rank-consistent with the configuration kernel; "
     "they are not certified to generate the full defining ideal"
 )
-
-# Pair-count threshold below which the isolated check enumerates minors
-# literally; above it the face-decomposition strategy decides.
-LITERAL_PAIR_LIMIT = 5000
-
 
 @dataclass(frozen=True)
 class ToricConfiguration:
@@ -352,34 +343,27 @@ class IsolatedSingularityReport:
     """Verdict of the Jacobian-ideal zero-dimensionality test.
 
     verdict True/False is exact; None means undecided (not produced by the
-    shipped strategies, retained for contract completeness).  witness_powers
-    lists, per variable, the smallest power found to land in the Jacobian
-    ideal when the power-witness strategy ran.
+    shipped procedure, retained for contract completeness).  A False verdict
+    from the ray decision names, in note, the column(s) spanning an extreme
+    ray of cone(A) that carries no Jacobian generator.
     """
 
     verdict: bool | None
-    method: str  # "zero-ideal" | "power-witness" | "face-decomposition"
+    method: str  # "zero-ideal" | "face-decomposition"
     zero_ideal: bool
-    witness_powers: tuple[int | None, ...] | None
     caveat: str
     note: str | None = None
 
 
 def isolated_singularity_by_jacobian(
-    p: ToricIdealPresentation,
-    power_cap: int = 16,
-    *,
-    literal_pair_limit: int = LITERAL_PAIR_LIMIT,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    p: ToricIdealPresentation, *, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> IsolatedSingularityReport:
     """Decide whether the presented ring has (at most) an isolated singularity.
 
-    The quotient by the Jacobian ideal is zero-dimensional iff some power of
-    every semigroup generator lies in the ideal.  Small presentations are
-    decided by the literal power-witness search over the enumerated Jacobian
-    generators; large or undecided ones escalate to the exact
-    face-decomposition strategy (see module docstring).  The perfect-field
-    caveat applies to every verdict.
+    The quotient by the Jacobian ideal is zero-dimensional iff every extreme
+    ray of cone(A) carries a Jacobian generator; the rays come from the facet
+    enumeration, which `cap` bounds (see module docstring).  The
+    perfect-field caveat applies to every verdict.
     """
     config = p.config
     if not config.is_nonnegative:
@@ -391,7 +375,6 @@ def isolated_singularity_by_jacobian(
             verdict=False,
             method="zero-ideal",
             zero_ideal=True,
-            witness_powers=None,
             caveat=PERFECT_FIELD_CAVEAT,
             note=(
                 "defining ideal is zero: the ring is a polynomial ring, "
@@ -402,70 +385,18 @@ def isolated_singularity_by_jacobian(
         raise UnsupportedConfiguration(
             "isolated-singularity check needs columns that are nonzero"
         )
-    n = config.matrix.cols
-    h = p.height
-    pairs = comb(len(p.generators), h) * comb(n, h)
-    witness: list[int | None] = [None] * n
-    if pairs <= min(literal_pair_limit, cap):
-        gens = jacobian_generators(p, cap=cap).generators
-        cols = config.columns
-        # a variable whose every Jacobian generator needs a coordinate the
-        # column lacks can never reach the ideal; no search required
-        blocked = [
-            j
-            for j in range(n)
-            if all(
-                any(u[i] > 0 and cols[j][i] == 0 for i in range(len(cols[j])))
-                for u in gens
-            )
-        ]
-        if blocked:
-            return IsolatedSingularityReport(
-                verdict=False,
-                method="power-witness",
-                zero_ideal=False,
-                witness_powers=tuple(witness),
-                caveat=PERFECT_FIELD_CAVEAT,
-                note=(
-                    "no power of variable(s) "
-                    + ", ".join(config.name_of(j) for j in blocked)
-                    + " can reach the Jacobian ideal"
-                ),
-            )
-        oracle = _SemigroupOracle(config)
-        undecided: list[int] = []
-        for j in range(n):
-            aj = cols[j]
-            # ascending keeps each search incremental over the shared memo
-            found = None
-            for k in range(1, power_cap + 1):
-                target = tuple(k * x for x in aj)
-                if any(
-                    oracle.contains(tuple(t - x for t, x in zip(target, u)))
-                    for u in gens
-                ):
-                    found = k
-                    break
-            if found is None:
-                undecided.append(j)
-            else:
-                witness[j] = found
-        if not undecided:
-            return IsolatedSingularityReport(
-                verdict=True,
-                method="power-witness",
-                zero_ideal=False,
-                witness_powers=tuple(witness),
-                caveat=PERFECT_FIELD_CAVEAT,
-            )
-    verdict = _decide_by_faces(p)
+    bare = _bare_ray(p, cap)
     return IsolatedSingularityReport(
-        verdict=verdict,
+        verdict=bare is None,
         method="face-decomposition",
         zero_ideal=False,
-        witness_powers=tuple(witness),
         caveat=PERFECT_FIELD_CAVEAT,
-        note="decided on the face lattice of the configuration cone",
+        note=None
+        if bare is None
+        else (
+            "no Jacobian generator lies on the extreme ray spanned by "
+            + ", ".join(config.name_of(j) for j in bare)
+        ),
     )
 
 
@@ -511,14 +442,17 @@ def _greedy_basis_weight(
     )
 
 
-def _decide_by_faces(p: ToricIdealPresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-    """Exact isolated-singularity decision on the face lattice of cone(A).
+def _bare_ray(p: ToricIdealPresentation, cap: int) -> tuple[int, ...] | None:
+    """First extreme ray of cone(A) without a Jacobian generator, as its columns.
 
-    Projects the configuration onto an independent set of coordinate rows,
-    enumerates facet normals from (rank-1)-subsets of columns, closes the
-    facet ray-sets under intersection to get every face, and checks each face
-    of dimension >= 1 for a Jacobian generator by comparing greedy basis
-    weights of the row and column matroids of H.
+    Returns None when every extreme ray carries one.  Projects the
+    configuration onto an independent set of coordinate rows and enumerates
+    facet normals from (rank-1)-subsets of columns.  The minimal face of a
+    column is the intersection of the facets through it; a column spans an
+    extreme ray exactly when every column of its minimal face has that same
+    minimal face.  Rays are taken in order of their first column, and each
+    is tested with the sum of the facet normals through it by comparing
+    greedy basis weights of the row and column matroids of H.
     """
     config = p.config
     n = config.matrix.cols
@@ -526,9 +460,8 @@ def _decide_by_faces(p: ToricIdealPresentation, cap: int = DEFAULT_ENUMERATION_C
     rowidx = [i for i in range(config.matrix.rows) if inc.insert(config.matrix.row(i))]
     r = len(rowidx)
     if r <= 1:
-        # cone is a single ray; its only face of dimension >= 1 is the cone
-        # itself, and every Jacobian generator lies in it
-        return True
+        # cone is a single ray, and every Jacobian generator lies on it
+        return None
     pcols = [tuple(config.columns[j][i] for i in rowidx) for j in range(n)]
     pdegs = [tuple(d[i] for i in rowidx) for d in p.degrees]
     h = p.height
@@ -560,16 +493,13 @@ def _decide_by_faces(p: ToricIdealPresentation, cap: int = DEFAULT_ENUMERATION_C
             "pointed full-dimensional cone produced no facets"
         )
 
-    faces: set[frozenset[int]] = set(facets.values())
-    frontier = list(faces)
-    zero_sets = list(facets.values())
-    while frontier:
-        z1 = frontier.pop()
-        for z2 in zero_sets:
-            z = z1 & z2
-            if z not in faces:
-                faces.add(z)
-                frontier.append(z)
+    through = [[w for w, z in facets.items() if j in z] for j in range(n)]
+    minimal = [
+        frozenset.intersection(*(facets[w] for w in ws))
+        if ws
+        else frozenset(range(n))
+        for ws in through
+    ]
 
     # column matroid of H, compressed through a row-space basis
     row_space = IncrementalRank(n)
@@ -582,22 +512,19 @@ def _decide_by_faces(p: ToricIdealPresentation, cap: int = DEFAULT_ENUMERATION_C
         )
     hcols = [tuple(row[j] for row in ech) for j in range(n)]
 
-    for zset in sorted(faces, key=lambda z: (len(z), sorted(z))):
-        if not zset:
-            continue  # the apex: dimension 0
-        w = [0] * r
-        for wt, zt in facets.items():
-            if zset <= zt:
-                for i, x in enumerate(wt):
-                    w[i] += x
+    for j in range(n):
+        ray = minimal[j]
+        if min(ray) != j or any(minimal[k] != ray for k in ray):
+            continue  # a later column of a ray already seen, or not a ray
+        w = [sum(col) for col in zip(*through[j])]
         roww = [sum(a * b for a, b in zip(w, d)) for d in pdegs]
         colw = [sum(a * b for a, b in zip(w, pc)) for pc in pcols]
         lo = _greedy_basis_weight(p.generators, roww, h, maximize=False)
         hi = _greedy_basis_weight(hcols, colw, h, maximize=True)
         if lo - hi < 0:
             raise InternalInvariantViolation(
-                "minimum Jacobian generator weight below zero on a face functional"
+                "minimum Jacobian generator weight below zero on a ray functional"
             )
         if lo != hi:
-            return False
-    return True
+            return tuple(sorted(ray))
+    return None

@@ -5,15 +5,26 @@ determinants, brute-force enumeration.  The point is to agree with the
 package through different code paths.
 """
 
+import random
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
 
 from binheight.hibi import Poset
 from binheight.linalg import IntegerMatrix, smith_normal_form
 from binheight.polyomino import CellCollection
-from binheight.toric import ToricConfiguration
+from binheight.toric import (
+    ToricConfiguration,
+    ToricIdealPresentation,
+    jacobian_generators,
+)
 
 LETTERS = "abcdefgh"
+
+# Largest minor-pair count the literal isolated-singularity route enumerates,
+# and the largest variable power it tries.
+LITERAL_PAIRS = 20000
+LITERAL_POWER = 5
 
 
 def cofactor_det(rows: Sequence[Sequence[int]]) -> int:
@@ -162,3 +173,79 @@ def coordinate_configuration(collection: CellCollection) -> ToricConfiguration:
             [[c[i] for c in cols] for i in range(height)], cols=len(cols)
         )
     )
+
+
+def semigroup_points(
+    columns: Sequence[Sequence[int]], bound: Sequence[int]
+) -> set[tuple[int, ...]]:
+    """Every nonnegative integer combination of the columns that is <= bound.
+
+    Breadth-first over partial sums; with nonnegative columns every partial
+    sum of a point below the bound is itself below it.
+    """
+    start = tuple(0 for _ in bound)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for point in frontier:
+            for col in columns:
+                cand = tuple(a + b for a, b in zip(point, col))
+                if cand not in seen and all(a <= b for a, b in zip(cand, bound)):
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return seen
+
+
+def literal_fits(p: ToricIdealPresentation) -> bool:
+    """Whether the literal route's minor enumeration stays within LITERAL_PAIRS."""
+    h = p.height
+    return comb(len(p.generators), h) * comb(p.config.matrix.cols, h) <= LITERAL_PAIRS
+
+
+def literal_isolated(p: ToricIdealPresentation) -> bool:
+    """Literal power-witness route to the isolated-singularity verdict.
+
+    The singularity is isolated iff a power of every variable lies in the
+    Jacobian ideal: for each column a_j, some k*a_j - u is a semigroup element
+    for a Jacobian generator u.  Generators come from every rank-sized minor,
+    semigroup elements from a brute-force search.  True is exact; False says
+    no power up to LITERAL_POWER was found.  A zero ideal counts as isolated.
+    """
+    gens = jacobian_generators(p, cap=LITERAL_PAIRS).generators
+    cols = p.config.columns
+    bound = tuple(LITERAL_POWER * max(c[i] for c in cols) for i in range(len(cols[0])))
+    points = semigroup_points(cols, bound)
+    return all(
+        any(
+            tuple(k * a - b for a, b in zip(col, u)) in points
+            for k in range(1, LITERAL_POWER + 1)
+            for u in gens
+        )
+        for col in cols
+    )
+
+
+def random_kernel_presentation(
+    rng: random.Random, max_rows: int = 3, max_cols: int = 6
+) -> ToricIdealPresentation:
+    """Random nonnegative configuration with a lattice basis of its kernel.
+
+    Columns are distinct and nonzero with entries 0..3, so m rows allow at
+    most 4^m - 1 of them; there are more columns than rows, so the
+    kernel is nonzero.  The basis is the tail of the Smith column transform.
+    """
+    m = rng.randrange(1, max_rows + 1)
+    n = rng.randrange(m + 1, min(max_cols, 4**m - 1) + 1)
+    cols: set[tuple[int, ...]] = set()
+    while len(cols) < n:
+        col = tuple(rng.randrange(0, 4) for _ in range(m))
+        if any(col):
+            cols.add(col)
+    order = sorted(cols)
+    rng.shuffle(order)
+    a = IntegerMatrix.from_rows([[c[i] for c in order] for i in range(m)], cols=n)
+    d = smith_normal_form(a)
+    basis = tuple(d.v.column(j) for j in range(len(d.divisors), n))
+    return ToricIdealPresentation(config=ToricConfiguration(a), generators=basis)

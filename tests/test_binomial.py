@@ -9,7 +9,7 @@ from binheight.binomial import (
     height_bounds,
     split_signs,
 )
-from binheight.errors import LengthMismatch, ZeroGenerator
+from binheight.errors import LengthMismatch, MalformedInput, ZeroGenerator
 
 CLAW = Graph(4, ((0, 1), (0, 2), (0, 3)))
 SQUARE = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
@@ -30,7 +30,7 @@ class TestFromMonomialPair:
             from_monomial_pair((1, 0), (1, 0, 0))
 
     def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedInput):
             from_monomial_pair((1, -1), (0, 0))
 
 

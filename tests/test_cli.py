@@ -134,7 +134,8 @@ class TestJacobian:
         assert r["h"] == 1
         assert r["jacobian_generators"] == [[1, 0], [1, 1], [1, 2]]
         assert r["isolated"]["verdict"] is True
-        assert r["isolated"]["witness_powers"] == [1, 1, 1]
+        assert r["isolated"]["method"] == "face-decomposition"
+        assert "witness_powers" not in r["isolated"]
         assert report["caveats"]
 
     def test_modulus(self, capsys, tmp_path):
@@ -193,6 +194,19 @@ class TestHibi:
         assert r["height"] == 1
         assert r["isolated"]["status"] == "isolated"
         assert r["jacobian_crosscheck"]["agrees"] is True
+
+    def test_cap_reaches_facet_enumeration(self, capsys, tmp_path):
+        # 16 ideals in 5 rows: C(16, 4) = 1820 facet subsets
+        antichain = {"elements": ["a", "b", "c", "d"], "covers": []}
+        path = write_json(tmp_path, antichain)
+        argv = ["hibi", "--json", "--jacobian-crosscheck", path]
+        code, _, err = run(capsys, argv + ["--cap", "1000"])
+        assert code == 1
+        assert "EnumerationCapExceeded" in err
+        assert "1820" in err
+        r = run_json(capsys, argv)["results"]["jacobian_crosscheck"]
+        assert r["verdict"] is True
+        assert r["method"] == "face-decomposition"
 
     def test_chain_poset(self, capsys, tmp_path):
         payload = {

@@ -17,12 +17,12 @@ from typing import Iterable, Sequence
 
 from .binomial import BinomialPresentation, HeightBoundReport, height_bounds
 from .errors import (
+    EnumerationCapExceeded,
     IndexOutOfRange,
     InternalInvariantViolation,
     MalformedInput,
-    TooManyVertices,
 )
-from .linalg import IntegerMatrix, rational_rank
+from .linalg import DEFAULT_ENUMERATION_CAP, IntegerMatrix, rational_rank
 
 __all__ = [
     "Graph",
@@ -33,8 +33,6 @@ __all__ = [
     "cut_sets",
     "height_report",
 ]
-
-MAX_CUT_SET_VERTICES = 24
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,7 @@ class Graph:
         """Components left after removing each vertex bitmask: 2^n entries.
 
         Component counts fit a byte.  Only cut_sets reads this, after
-        checking n against its vertex bound.
+        checking 2^n against the enumeration cap.
         """
         adj = self.adjacency_masks
         return bytearray(
@@ -152,17 +150,15 @@ def components_after_removal(g: Graph, removed: Iterable[int] = ()) -> int:
 
 
 def cut_sets(
-    g: Graph, max_vertices: int = MAX_CUT_SET_VERTICES
+    g: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[tuple[int, ...], ...]:
     """Vertex sets indexing the minimal primes, sorted by size then lex.
 
     W qualifies when it is empty or every i in W satisfies
-    c(W minus i) < c(W).  Enumeration is exponential in the vertex count.
+    c(W minus i) < c(W).  It visits all 2^n vertex subsets; 2^n > cap is refused.
     """
-    if g.n > max_vertices:
-        raise TooManyVertices(
-            f"{g.n} vertices exceed the cut-set enumeration bound {max_vertices}"
-        )
+    if 1 << g.n > cap:
+        raise EnumerationCapExceeded(1 << g.n, cap, what="cut-set enumeration")
     counts = g._removal_counts
     out = []
     for mask in range(1 << g.n):
@@ -204,7 +200,7 @@ class EdgeIdealHeightReport:
 
 
 def height_report(
-    g: Graph, max_vertices: int = MAX_CUT_SET_VERTICES
+    g: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> EdgeIdealHeightReport:
     """Exact height data for the edge binomials of g.
 
@@ -225,7 +221,7 @@ def height_report(
         raise InternalInvariantViolation(
             "incidence matrix rank disagrees with n - components"
         )
-    sets = cut_sets(g, max_vertices=max_vertices)
+    sets = cut_sets(g, cap=cap)
     counts = g._removal_counts
     # the empty set always qualifies, so the list is never empty
     values = [

@@ -11,7 +11,6 @@ caller assertion that the report echoes back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .errors import (
@@ -20,12 +19,7 @@ from .errors import (
     MalformedInput,
     ZeroGenerator,
 )
-from .linalg import (
-    IntegerMatrix,
-    lattice_basis,
-    rational_rank,
-    smith_normal_form,
-)
+from .linalg import IntegerMatrix, lattice_basis, smith_normal_form
 
 __all__ = [
     "ExponentVector",
@@ -92,10 +86,6 @@ class BinomialPresentation:
         names = tuple(f"{prefix}{i + 1}" for i in range(n))
         return cls(n=n, variable_names=names, generators=tuple(gens))
 
-    @cached_property
-    def generator_matrix(self) -> IntegerMatrix:
-        return IntegerMatrix.from_rows(self.generators, cols=self.n)
-
 
 @dataclass(frozen=True)
 class HeightBoundReport:
@@ -120,21 +110,20 @@ class HeightBoundReport:
 def height_bounds(p: BinomialPresentation, unmixed: bool = False) -> HeightBoundReport:
     """Height bounds for the ideal presented by `p`.
 
-    Computes the rational rank of the generator matrix three ways at once:
-    Bareiss rank, Hermite lattice basis size, and Smith divisor count; they
-    must agree.
+    One route to the exponent lattice: the Hermite basis of the generators,
+    whose size is the span dimension.  Row operations keep the lattice, so
+    the Smith form of that r x n basis carries the elementary divisors; it
+    must find r of them, confirming that the basis rows are independent.
     """
-    m = p.generator_matrix
-    rank = rational_rank(m)
     basis = lattice_basis(p.generators)
-    divisors = smith_normal_form(m).divisors
-    if len(basis) != rank or len(divisors) != rank:
+    divisors = smith_normal_form(IntegerMatrix.from_rows(basis, cols=p.n)).divisors
+    if len(divisors) != len(basis):
         raise InternalInvariantViolation(
-            f"span dimension disagreement: rank {rank}, basis {len(basis)}, "
+            f"span dimension disagreement: basis {len(basis)}, "
             f"divisors {len(divisors)}"
         )
     return HeightBoundReport(
-        span_dim=rank,
+        span_dim=len(basis),
         unmixed=unmixed,
         basis=basis,
         elementary_divisors=divisors,

@@ -22,7 +22,7 @@ from typing import Any, Sequence
 from .bedge import Graph, edge_presentation
 from .bedge import height_report as bedge_height_report
 from .binomial import BinomialPresentation, height_bounds
-from .errors import DomainError, MalformedInput
+from .errors import DomainError, MalformedInput, OutputTooLarge
 from .hibi import Poset
 from .hibi import isolated_singularity_verdict as hibi_isolated
 from .hibi import presentation as hibi_presentation
@@ -112,6 +112,20 @@ def _jsonable(x: Any) -> Any:
     return x
 
 
+def _check_printable(values: Sequence[int]) -> None:
+    """Refuse a Smith transform entry too long for str() and json.dumps."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    largest = max(map(abs, values), default=0)
+    if limit and largest >= 10**limit:
+        digits = largest.bit_length() * 30103 // 100000  # never above the true count
+        while largest >= 10**digits:
+            digits += 1
+        raise OutputTooLarge(
+            f"a Smith transform entry has {digits} decimal digits; the "
+            f"interpreter converts at most {limit} (sys.get_int_max_str_digits)"
+        )
+
+
 def _vector_text(v: Sequence[int]) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
 
@@ -170,6 +184,7 @@ def _cmd_rank(args, data: dict) -> tuple[dict, list[str]]:
 def _cmd_snf(args, data: dict) -> tuple[dict, list[str]]:
     m = IntegerMatrix.from_rows(_int_rows(data, "matrix"))
     dec = smith_normal_form(m)
+    _check_printable(dec.u.entries + dec.v.entries)
     product = dec.u @ m @ dec.v
     verified = product.entries == dec.diagonal(m.rows, m.cols).entries
     results = {
@@ -257,7 +272,7 @@ def _cmd_polyomino(args, data: dict) -> tuple[dict, list[str]]:
 
 def _cmd_bedge(args, data: dict) -> tuple[dict, list[str]]:
     g = Graph.of(_as_int(_get(data, "n"), "field 'n'"), _int_rows(data, "edges"))
-    rep = bedge_height_report(g)
+    rep = bedge_height_report(g, cap=args.cap)
     results: dict[str, Any] = {
         "n": rep.n,
         "edge_count": rep.edge_count,
@@ -366,15 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_ENUMERATION_CAP,
         help="bound on enumeration sizes (default %(default)s)",
     )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=(
-            "echoed into the report; all current computations are "
-            "deterministic"
-        ),
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -475,8 +481,6 @@ def entrypoint(argv: Sequence[str] | None = None) -> int:
         "caveats": caveats,
         "status": "ok",
     }
-    if args.seed is not None:
-        report["seed"] = args.seed
     if args.json:
         sys.stdout.write(
             json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"

@@ -18,7 +18,7 @@ __all__ = [
     "ReductionUnavailable",
     "EmptyCollection",
     "NotConnected",
-    "TooManyVertices",
+    "OutputTooLarge",
     "LatticeTooLarge",
     "NotAnIdeal",
     "InvalidPresentation",
@@ -67,8 +67,8 @@ class NotConnected(DomainError):
     """An operation defined only for connected collections got a disconnected one."""
 
 
-class TooManyVertices(DomainError):
-    """Graph too large for exhaustive subset enumeration."""
+class OutputTooLarge(DomainError):
+    """A result integer has more decimal digits than the interpreter converts."""
 
 
 class LatticeTooLarge(DomainError):

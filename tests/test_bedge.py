@@ -11,7 +11,7 @@ from binheight.bedge import (
     height_report,
     incidence_matrix,
 )
-from binheight.errors import IndexOutOfRange, MalformedInput, TooManyVertices
+from binheight.errors import EnumerationCapExceeded, IndexOutOfRange, MalformedInput
 from binheight.linalg import rational_rank
 
 CLAW = Graph(4, ((0, 1), (0, 2), (0, 3)))
@@ -113,8 +113,9 @@ class TestCutSets:
         assert cut_sets(Graph(3, ())) == ((),)
 
     def test_vertex_limit(self):
-        with pytest.raises(TooManyVertices):
+        with pytest.raises(EnumerationCapExceeded) as exc:
             cut_sets(Graph(25, ()))
+        assert exc.value.required == 2**25
 
     def test_matches_definition(self):
         rng = random.Random(53)

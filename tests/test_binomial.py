@@ -10,6 +10,7 @@ from binheight.binomial import (
     split_signs,
 )
 from binheight.errors import LengthMismatch, MalformedInput, ZeroGenerator
+from binheight.linalg import IntegerMatrix, rational_rank, smith_normal_form
 
 CLAW = Graph(4, ((0, 1), (0, 2), (0, 3)))
 SQUARE = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
@@ -104,7 +105,12 @@ class TestHeightBounds:
                 ]
                 gens = [g for g in gens if any(g)]
             base = BinomialPresentation.with_default_names(tuple(gens))
-            dim = height_bounds(base).span_dim
+            report = height_bounds(base)
+            dim = report.span_dim
+            # Bareiss rank and the full-matrix Smith form are the oracles
+            full = IntegerMatrix.from_rows(gens)
+            assert dim == rational_rank(full)
+            assert report.elementary_divisors == smith_normal_form(full).divisors
 
             shuffled = gens[:]
             rng.shuffle(shuffled)

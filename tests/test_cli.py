@@ -1,5 +1,7 @@
 import io
 import json
+import random
+import sys
 
 import pytest
 
@@ -35,11 +37,6 @@ class TestReportEnvelope:
         assert report["status"] == "ok"
         assert len(report["input_sha256"]) == 64
         assert "seed" not in report
-
-    def test_seed_echoed(self, capsys, tmp_path):
-        path = write_json(tmp_path, CLAW_GRAPH)
-        report = run_json(capsys, ["bedge", "--json", "--seed", "7", path])
-        assert report["seed"] == 7
 
     def test_json_output_is_deterministic(self, capsys, tmp_path):
         path = write_json(tmp_path, CONIC)
@@ -96,6 +93,26 @@ class TestExitCodes:
         code, _, err = run(capsys, ["jacobian", "--cap", "1", path])
         assert code == 1
         assert "EnumerationCapExceeded" in err
+
+    def test_seed_flag_is_gone(self, capsys, tmp_path):
+        path = write_json(tmp_path, CLAW_GRAPH)
+        with pytest.raises(SystemExit) as exc:
+            entrypoint(["bedge", "--json", "--seed", "7", path])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("mode", [["--json"], []])
+    def test_unprintable_smith_transform_is_exit_1(self, capsys, tmp_path, mode):
+        # the column transform of this matrix has an entry of 4704 digits
+        rng = random.Random(1)
+        matrix = [[rng.randrange(-9, 10) for _ in range(22)] for _ in range(22)]
+        path = write_json(tmp_path, {"matrix": matrix})
+        code, out, err = run(capsys, ["snf", *mode, path])
+        assert code == 1
+        assert out == ""
+        assert "OutputTooLarge" in err
+        assert "4704 decimal digits" in err
+        assert str(sys.get_int_max_str_digits()) in err
 
 
 class TestRank:
@@ -180,6 +197,16 @@ class TestBedge:
         assert r["cut_sets"] == [[], [0]]
         assert r["height_witness"] == [0]
         assert r["unmixed"] is False
+
+    def test_cap_reaches_cut_set_enumeration(self, capsys, tmp_path):
+        cycle = {"n": 10, "edges": [[i, (i + 1) % 10] for i in range(10)]}
+        path = write_json(tmp_path, cycle)
+        code, _, err = run(capsys, ["bedge", "--json", "--cap", "1000", path])
+        assert code == 1
+        assert "EnumerationCapExceeded" in err
+        assert "1024" in err
+        r = run_json(capsys, ["bedge", "--json", path])["results"]
+        assert (r["height"], r["span_dim"]) == (9, 9)
 
 
 class TestHibi:

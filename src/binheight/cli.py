@@ -65,6 +65,8 @@ def _read_payload(path: str) -> tuple[dict, str]:
         payload = json.loads(raw)
     except json.JSONDecodeError as e:
         raise _InputError(f"input is not valid JSON: {e}") from None
+    except ValueError as e:  # bad UTF-8, or an integer past the digit limit
+        raise _InputError(f"input cannot be read: {e}") from None
     if not isinstance(payload, dict):
         raise MalformedInput("top-level JSON value must be an object")
     return payload, hashlib.sha256(raw).hexdigest()
@@ -333,7 +335,7 @@ def _cmd_hibi(args, data: dict) -> tuple[dict, list[str]]:
         caveats.append(verdict.caveat)
     if args.jacobian_crosscheck:
         iso = isolated_singularity_by_jacobian(pres.toric, cap=args.cap)
-        effective = bool(iso.verdict) or iso.zero_ideal
+        effective = iso.verdict or iso.zero_ideal
         results["jacobian_crosscheck"] = {
             "verdict": iso.verdict,
             "method": iso.method,

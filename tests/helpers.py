@@ -7,7 +7,8 @@ package through different code paths.
 
 import random
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 from binheight.hibi import Poset
@@ -249,3 +250,47 @@ def random_kernel_presentation(
     d = smith_normal_form(a)
     basis = tuple(d.v.column(j) for j in range(len(d.divisors), n))
     return ToricIdealPresentation(config=ToricConfiguration(a), generators=basis)
+
+
+def projected_columns(config: ToricConfiguration) -> list[tuple[int, ...]]:
+    """Columns of A restricted to the rows not in the span of earlier rows."""
+    rows = config.matrix.to_rows()
+    keep: list[int] = []
+    for i in range(len(rows)):
+        if naive_rank([rows[k] for k in keep + [i]]) > len(keep):
+            keep.append(i)
+    return [tuple(c[i] for i in keep) for c in config.columns]
+
+
+def brute_force_facets(
+    pcols: Sequence[Sequence[int]], r: int
+) -> dict[tuple[int, ...], frozenset[int]]:
+    """Facet normals of the cone over columns spanning Q^r, by subset search.
+
+    Every (r-1)-subset of columns gets its cofactor normal, made primitive;
+    when all columns lie on one side of it, it is a facet normal, signed to
+    be nonnegative, and maps to the columns it vanishes on.  Subsets inside
+    a facet already found are skipped, since they reproduce it.
+    """
+    facets: dict[tuple[int, ...], frozenset[int]] = {}
+    covered: set[frozenset[int]] = set()
+    for subset in combinations(range(len(pcols)), r - 1):
+        if frozenset(subset) in covered:
+            continue
+        rows = [pcols[j] for j in subset]
+        w = []
+        for i in range(r):
+            sub = [[x for k, x in enumerate(row) if k != i] for row in rows]
+            w.append((-1) ** i * cofactor_det(sub))
+        g = gcd(*w)
+        if g == 0:
+            continue
+        vals = [sum(a * b for a, b in zip(w, pc)) for pc in pcols]
+        if all(v <= 0 for v in vals):
+            g = -g
+        elif not all(v >= 0 for v in vals):
+            continue
+        zeros = frozenset(j for j, v in enumerate(vals) if v == 0)
+        facets[tuple(x // g for x in w)] = zeros
+        covered.update(frozenset(sub) for sub in combinations(sorted(zeros), r - 1))
+    return facets

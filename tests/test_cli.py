@@ -101,6 +101,26 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [
+            (
+                b'{"generators": [[' + b"9" * 5000 + b", 1]]}",
+                f"limit ({sys.get_int_max_str_digits()} digits)",
+            ),
+            (b"\xff", "can't decode byte 0xff"),
+        ],
+        ids=["integer-past-digit-limit", "not-utf-8"],
+    )
+    def test_unreadable_input_is_exit_2(self, capsys, tmp_path, raw, reason):
+        path = tmp_path / "input.json"
+        path.write_bytes(raw)
+        code, out, err = run(capsys, ["rank", "--json", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert reason in err
+
     @pytest.mark.parametrize("mode", [["--json"], []])
     def test_unprintable_smith_transform_is_exit_1(self, capsys, tmp_path, mode):
         # the column transform of this matrix has an entry of 4704 digits
@@ -223,17 +243,33 @@ class TestHibi:
         assert r["jacobian_crosscheck"]["agrees"] is True
 
     def test_cap_reaches_facet_enumeration(self, capsys, tmp_path):
-        # 16 ideals in 5 rows: C(16, 4) = 1820 facet subsets
+        # 16 ideals in 5 rows; the double description of the facets tries at
+        # most 8 positive/negative ray pairs when it adds one column
         antichain = {"elements": ["a", "b", "c", "d"], "covers": []}
         path = write_json(tmp_path, antichain)
         argv = ["hibi", "--json", "--jacobian-crosscheck", path]
-        code, _, err = run(capsys, argv + ["--cap", "1000"])
+        code, _, err = run(capsys, argv + ["--cap", "7"])
         assert code == 1
         assert "EnumerationCapExceeded" in err
-        assert "1820" in err
+        assert "facet pairs needs 8 steps" in err
         r = run_json(capsys, argv)["results"]["jacobian_crosscheck"]
         assert r["verdict"] is True
         assert r["method"] == "face-decomposition"
+
+    def test_two_chains_of_five_decide(self, capsys, tmp_path):
+        # 36 ideals in 11 rows: trying all C(36, 10) column subsets for facets
+        # would exceed the default cap
+        chains = [[f"{c}{i}" for i in range(5)] for c in "ab"]
+        payload = {
+            "elements": chains[0] + chains[1],
+            "covers": [[ch[i], ch[i + 1]] for ch in chains for i in range(4)],
+        }
+        path = write_json(tmp_path, payload)
+        argv = ["hibi", "--json", "--isolated", "--jacobian-crosscheck", path]
+        r = run_json(capsys, argv)["results"]
+        assert r["ideal_count"] == 36
+        assert r["jacobian_crosscheck"]["verdict"] is True
+        assert r["jacobian_crosscheck"]["agrees"] is True
 
     def test_chain_poset(self, capsys, tmp_path):
         payload = {

@@ -28,12 +28,15 @@ from binheight.toric import (
     jacobian_entry,
     jacobian_generators,
     semigroup_contains,
+    _facets,
 )
 from helpers import (
+    brute_force_facets,
     labeled_posets,
     literal_fits,
     literal_isolated,
     poset_from_relation,
+    projected_columns,
     random_kernel_presentation,
     semigroup_points,
 )
@@ -299,6 +302,31 @@ class TestSemigroupMembership:
             assert semigroup_contains(cfg, target) == (
                 target in semigroup_points(cols, target)
             )
+
+
+class TestFacets:
+    def test_double_description_matches_subset_search(self):
+        configs = [
+            hibi_presentation(poset_from_relation(n, rel)).toric.config
+            for n in range(5)
+            for rel in labeled_posets(n)
+        ]
+        rng = random.Random(8)
+        configs += [random_kernel_presentation(rng).config for _ in range(200)]
+        # cones over the rational normal curves of degree 2 to 6
+        configs += [
+            config([[d - i for i in range(d + 1)], list(range(d + 1))])
+            for d in range(2, 7)
+        ]
+        compared = 0
+        for c in configs:
+            pcols = projected_columns(c)
+            r = len(pcols[0])
+            if r >= 2:
+                expected = brute_force_facets(pcols, r)
+                assert _facets(pcols, r, cap=10**7) == expected, pcols
+                compared += 1
+        assert compared > 300
 
 
 class TestIsolatedSingularity:

@@ -24,7 +24,6 @@ from .linalg import (
     IntegerMatrix,
     SmithDecomposition,
     determinant,
-    integer_combination,
     lattice_basis,
     minor,
     nonzero_minors,
@@ -57,7 +56,6 @@ __all__ = [
     "nonzero_minors",
     "smith_normal_form",
     "lattice_basis",
-    "integer_combination",
     "BinomialPresentation",
     "HeightBoundReport",
     "from_monomial_pair",

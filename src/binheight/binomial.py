@@ -25,6 +25,7 @@ __all__ = [
     "ExponentVector",
     "BinomialPresentation",
     "HeightBoundReport",
+    "checked_generators",
     "from_monomial_pair",
     "split_signs",
     "height_bounds",
@@ -50,6 +51,21 @@ def split_signs(v: Sequence[int]) -> tuple[ExponentVector, ExponentVector]:
     )
 
 
+def checked_generators(
+    generators: Sequence[Sequence[int]], n: int
+) -> tuple[ExponentVector, ...]:
+    """Generators as int tuples, each of length n and nonzero."""
+    gens = []
+    for k, g in enumerate(generators):
+        t = tuple(int(x) for x in g)
+        if len(t) != n:
+            raise LengthMismatch(f"generator {k} has length {len(t)}, expected {n}")
+        if not any(t):
+            raise ZeroGenerator(f"generator {k} is the zero vector")
+        gens.append(t)
+    return tuple(gens)
+
+
 @dataclass(frozen=True)
 class BinomialPresentation:
     """Generators of a pure-difference binomial ideal in n variables."""
@@ -62,18 +78,9 @@ class BinomialPresentation:
         names = tuple(str(s) for s in self.variable_names)
         if len(names) != self.n:
             raise LengthMismatch(f"{len(names)} names for {self.n} variables")
-        gens = []
-        for k, g in enumerate(self.generators):
-            t = tuple(int(x) for x in g)
-            if len(t) != self.n:
-                raise LengthMismatch(
-                    f"generator {k} has length {len(t)}, expected {self.n}"
-                )
-            if not any(t):
-                raise ZeroGenerator(f"generator {k} is the zero vector")
-            gens.append(t)
+        gens = checked_generators(self.generators, self.n)
         object.__setattr__(self, "variable_names", names)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators", gens)
 
     @classmethod
     def with_default_names(

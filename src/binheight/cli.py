@@ -104,16 +104,6 @@ def _str_list(data: dict, key: str) -> list[str]:
     return list(raw)
 
 
-def _jsonable(x: Any) -> Any:
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, frozenset):
-        return sorted(_jsonable(v) for v in x)
-    return x
-
-
 def _check_printable(values: Sequence[int]) -> None:
     """Refuse a Smith transform entry too long for str() and json.dumps."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
@@ -133,10 +123,12 @@ def _vector_text(v: Sequence[int]) -> str:
 
 
 def _print_text(report: dict, out) -> None:
-    def walk(key: str, value: Any):
+    """Print each leaf under its dotted key path, in the report's order."""
+    stack = list(reversed(report.items()))
+    while stack:
+        key, value = stack.pop()
         if isinstance(value, dict):
-            for k, v in value.items():
-                walk(f"{key}.{k}" if key else str(k), v)
+            stack.extend(reversed([(f"{key}.{k}", v) for k, v in value.items()]))
         elif key.endswith("picture") and isinstance(value, list):
             print(f"{key}:", file=out)
             for line in value:
@@ -147,9 +139,6 @@ def _print_text(report: dict, out) -> None:
             print(f"{key}: " + " ".join(str(v) for v in value), file=out)
         else:
             print(f"{key}: {value}", file=out)
-
-    for k, v in report.items():
-        walk(k, v)
 
 
 def _binomial_presentation_from(data: dict) -> BinomialPresentation:
@@ -479,7 +468,7 @@ def entrypoint(argv: Sequence[str] | None = None) -> int:
     report = {
         "command": args.command,
         "input_sha256": digest,
-        "results": _jsonable(results),
+        "results": results,
         "caveats": caveats,
         "status": "ok",
     }

@@ -131,22 +131,23 @@ def poset_ideals(
     topo = p._topo
     below = p.below
     found: list[frozenset[str]] = []
-
-    def extend(k: int, current: frozenset[str]):
+    # depth-first along the linear extension, leaving each element out before
+    # putting it in; the stack holds (next position, ideal so far)
+    stack = [(0, frozenset())]
+    while stack:
+        k, current = stack.pop()
         if k == len(topo):
             if len(found) >= max_ideals:
                 raise LatticeTooLarge(
                     f"more than {max_ideals} ideals; raise max_ideals to proceed"
                 )
             found.append(current)
-            return
+            continue
         e = topo[k]
-        extend(k + 1, current)
         # every element below e sits earlier in the linear extension
         if all(b in current for b in below[e]):
-            extend(k + 1, current | {e})
-
-    extend(0, frozenset())
+            stack.append((k + 1, current | {e}))
+        stack.append((k + 1, current))
     return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t)))
 
 
@@ -228,12 +229,6 @@ def presentation(p: Poset, max_ideals: int = MAX_IDEALS) -> HibiPresentation:
         raise InternalInvariantViolation(
             f"configuration rank {config.rank} is not "
             f"#elements + 1 = {len(p.elements) + 1}"
-        )
-    expected = len(ideals) - len(p.elements) - 1
-    if toric.height != expected:
-        raise InternalInvariantViolation(
-            f"kernel rank {toric.height} is not "
-            f"#ideals - #elements - 1 = {expected}"
         )
     return HibiPresentation(poset=p, ideals=ideals, names=names, toric=toric)
 

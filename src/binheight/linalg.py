@@ -29,7 +29,6 @@ __all__ = [
     "nonzero_minors",
     "smith_normal_form",
     "lattice_basis",
-    "integer_combination",
     "IncrementalRank",
 ]
 
@@ -452,36 +451,6 @@ def lattice_basis(vectors: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ..
     return tuple(tuple(row) for row in rows[:r])
 
 
-def integer_combination(
-    basis: Sequence[Sequence[int]], target: Sequence[int]
-) -> tuple[int, ...] | None:
-    """Coefficients writing `target` as an integer combination of echelon rows.
-
-    `basis` must be in row-echelon form with increasing pivot columns (the
-    shape lattice_basis returns).  Returns None when no integer combination
-    exists.
-    """
-    if not basis:
-        return () if not any(target) else None
-    x = list(target)
-    if any(len(b) != len(x) for b in basis):
-        raise LengthMismatch("basis and target of unequal length")
-    coeffs = []
-    for row in basis:
-        c = next((j for j, val in enumerate(row) if val), None)
-        if c is None:
-            raise LengthMismatch("zero row in basis")
-        q, rem = divmod(x[c], row[c])
-        if rem:
-            return None
-        if q:
-            x = [a - q * b for a, b in zip(x, row)]
-        coeffs.append(q)
-    if any(x):
-        return None
-    return tuple(coeffs)
-
-
 class IncrementalRank:
     """Grow a rational row space one vector at a time, exactly.
 
@@ -497,10 +466,6 @@ class IncrementalRank:
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    @property
-    def echelon_rows(self) -> list[tuple[int, ...]]:
-        return [tuple(row) for _, row in self._rows]
 
     def insert(self, vec: Sequence[int]) -> bool:
         v = list(vec)
@@ -523,13 +488,3 @@ class IncrementalRank:
         self._rows.append((p, v))
         self._rows.sort(key=lambda pr: pr[0])
         return True
-
-    def would_increase(self, vec: Sequence[int]) -> bool:
-        """insert() without mutating (used by greedy matroid loops)."""
-        v = list(vec)
-        for piv, row in self._rows:
-            f = v[piv]
-            if f:
-                a = row[piv]
-                v = [a * x - f * y for x, y in zip(v, row)]
-        return any(v)

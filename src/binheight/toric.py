@@ -18,9 +18,12 @@ time, and each adjacent pair of rays on opposite sides of the new column is
 combined into a primitive normal; `cap` bounds the pairs tried per column.
 Nonzero rank-sized minors of H factor as (row basis) x (column basis) of H's
 two matroids and every Jacobian generator is a semigroup element, so per ray
-the check compares a greedy minimum-weight row basis against a greedy
-maximum-weight column basis under a functional that vanishes exactly on the
-ray.  The literal minor enumeration serves only the generator listing.
+the check compares a greedy minimum-weight row basis against a maximum-weight
+column basis under a functional that vanishes exactly on the ray.  The
+generators span ker(A), so H's column matroid is the dual of A's (Oxley,
+Matroid Theory, 2.2.8): its maximum-weight basis is the complement of a
+greedy minimum-weight basis of A's columns.  The literal minor enumeration
+serves only the generator listing.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import cached_property
 from math import gcd
 from typing import Sequence
 
-from .binomial import ExponentVector, split_signs
+from .binomial import ExponentVector, checked_generators, split_signs
 from .errors import (
     EnumerationCapExceeded,
     IndexOutOfRange,
@@ -40,7 +43,6 @@ from .errors import (
     NotInKernel,
     ReductionUnavailable,
     UnsupportedConfiguration,
-    ZeroGenerator,
 )
 from .linalg import (
     DEFAULT_ENUMERATION_CAP,
@@ -48,7 +50,6 @@ from .linalg import (
     IntegerMatrix,
     minor,
     nonzero_minors,
-    rational_rank,
 )
 
 __all__ = [
@@ -81,8 +82,7 @@ class ToricConfiguration:
     column_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        cols = [self.matrix.column(j) for j in range(self.matrix.cols)]
-        if len(set(cols)) != len(cols):
+        if len(set(self.columns)) != self.matrix.cols:
             raise InvalidPresentation("configuration columns must be distinct")
         if self.column_names is not None:
             names = tuple(str(s) for s in self.column_names)
@@ -97,8 +97,16 @@ class ToricConfiguration:
         return tuple(self.matrix.column(j) for j in range(self.matrix.cols))
 
     @cached_property
+    def independent_rows(self) -> tuple[int, ...]:
+        """Indices of the rows not in the span of the rows before them."""
+        inc = IncrementalRank(self.matrix.cols)
+        return tuple(
+            i for i in range(self.matrix.rows) if inc.insert(self.matrix.row(i))
+        )
+
+    @property
     def rank(self) -> int:
-        return rational_rank(self.matrix)
+        return len(self.independent_rows)
 
     @cached_property
     def is_nonnegative(self) -> bool:
@@ -139,19 +147,11 @@ class ToricIdealPresentation:
 
     def __post_init__(self):
         n = self.config.matrix.cols
-        gens = []
-        for k, g in enumerate(self.generators):
-            t = tuple(int(x) for x in g)
-            if len(t) != n:
-                raise LengthMismatch(
-                    f"generator {k} has length {len(t)}, expected {n}"
-                )
-            if not any(t):
-                raise ZeroGenerator(f"generator {k} is the zero vector")
-            if any(self.config.apply(t)):
+        gens = checked_generators(self.generators, n)
+        for k, g in enumerate(gens):
+            if any(self.config.apply(g)):
                 raise NotInKernel(f"generator {k} is not in the configuration kernel")
-            gens.append(t)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators", gens)
         target = n - self.config.rank
         inc = IncrementalRank(n)
         for g in gens:
@@ -310,30 +310,39 @@ class _SemigroupOracle:
             raise LengthMismatch(f"vector of length {len(b)}, expected {self.m}")
         if any(x < 0 for x in b):
             return False
-        return self._search(0, b)
+        return self._search(b)
 
-    def _search(self, j: int, b: tuple[int, ...]) -> bool:
-        if not any(b):
-            return True
-        for i in self.frozen_at[j]:
-            if b[i] > 0:
-                return False
-        if j == len(self.cols):
-            return False
-        key = (j, b)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        col = self.cols[j]
-        kmax = min(b[i] // c for i, c in self.support[j])
-        ok = False
-        for k in range(kmax, -1, -1):
-            nb = tuple(x - k * c for x, c in zip(b, col)) if k else b
-            if self._search(j + 1, nb):
+    def _search(self, b: tuple[int, ...]) -> bool:
+        """Depth-first over the multiplicity of each column in turn, largest first.
+
+        The path is an explicit stack of [column, remainder, multiplicity]
+        frames, so the depth is the column count, not the interpreter's
+        recursion limit.  Each decided (column, remainder) is memoized.
+        """
+        stack: list[list] = []
+        j = 0
+        while True:
+            if not any(b):
                 ok = True
-                break
-        self.cache[key] = ok
-        return ok
+            elif any(b[i] > 0 for i in self.frozen_at[j]) or j == len(self.cols):
+                ok = False
+            else:
+                ok = self.cache.get((j, b))
+            if ok is None:
+                stack.append([j, b, min(b[i] // c for i, c in self.support[j])])
+            else:
+                # a success settles every open frame; a failure settles those
+                # that have tried multiplicity 0
+                while stack and (ok or stack[-1][2] == 0):
+                    fj, fb, _ = stack.pop()
+                    self.cache[(fj, fb)] = ok
+                if not stack:
+                    return ok
+                stack[-1][2] -= 1
+            j, b, k = stack[-1]
+            if k:
+                b = tuple(x - k * c for x, c in zip(b, self.cols[j]))
+            j += 1
 
 
 def semigroup_contains(config: ToricConfiguration, b: Sequence[int]) -> bool:
@@ -404,18 +413,12 @@ def isolated_singularity_by_jacobian(
 
 
 def _greedy_basis_weight(
-    vectors: Sequence[Sequence[int]],
-    weights: Sequence[int],
-    target: int,
-    maximize: bool,
+    vectors: Sequence[Sequence[int]], weights: Sequence[int], target: int
 ) -> int:
-    """Total weight of a greedy min- or max-weight basis of the vector matroid."""
+    """Total weight of a greedy minimum-weight basis of the vector matroid."""
     if target == 0:
         return 0
-    order = sorted(
-        range(len(vectors)),
-        key=(lambda i: (-weights[i], i)) if maximize else (lambda i: (weights[i], i)),
-    )
+    order = sorted(range(len(vectors)), key=lambda i: (weights[i], i))
     inc = IncrementalRank(len(vectors[0]))
     total = 0
     for i in order:
@@ -498,13 +501,14 @@ def _bare_ray(p: ToricIdealPresentation, cap: int) -> tuple[int, ...] | None:
     column is the intersection of the facets through it; a column spans an
     extreme ray exactly when every column of its minimal face has that same
     minimal face.  Rays are taken in order of their first column, and each
-    is tested with the sum of the facet normals through it by comparing
-    greedy basis weights of the row and column matroids of H.
+    is tested with the sum of the facet normals through it: the minimum
+    weight of a basis of H's row matroid must equal the maximum weight of a
+    basis of H's column matroid, which by duality is the total column weight
+    less the minimum weight of a basis of the projected columns of A.
     """
     config = p.config
     n = config.matrix.cols
-    inc = IncrementalRank(n)
-    rowidx = [i for i in range(config.matrix.rows) if inc.insert(config.matrix.row(i))]
+    rowidx = config.independent_rows
     r = len(rowidx)
     if r <= 1:
         # cone is a single ray, and every Jacobian generator lies on it
@@ -527,17 +531,6 @@ def _bare_ray(p: ToricIdealPresentation, cap: int) -> tuple[int, ...] | None:
         for ws in through
     ]
 
-    # column matroid of H, compressed through a row-space basis
-    row_space = IncrementalRank(n)
-    for g in p.generators:
-        row_space.insert(g)
-    ech = row_space.echelon_rows
-    if len(ech) != h:
-        raise InternalInvariantViolation(
-            f"generator rank {len(ech)} disagrees with kernel rank {h}"
-        )
-    hcols = [tuple(row[j] for row in ech) for j in range(n)]
-
     for j in range(n):
         ray = minimal[j]
         if min(ray) != j or any(minimal[k] != ray for k in ray):
@@ -545,8 +538,8 @@ def _bare_ray(p: ToricIdealPresentation, cap: int) -> tuple[int, ...] | None:
         w = [sum(col) for col in zip(*through[j])]
         roww = [sum(a * b for a, b in zip(w, d)) for d in pdegs]
         colw = [sum(a * b for a, b in zip(w, pc)) for pc in pcols]
-        lo = _greedy_basis_weight(p.generators, roww, h, maximize=False)
-        hi = _greedy_basis_weight(hcols, colw, h, maximize=True)
+        lo = _greedy_basis_weight(p.generators, roww, h)
+        hi = sum(colw) - _greedy_basis_weight(pcols, colw, r)
         if lo - hi < 0:
             raise InternalInvariantViolation(
                 "minimum Jacobian generator weight below zero on a ray functional"

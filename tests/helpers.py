@@ -65,6 +65,24 @@ def naive_rank(rows: Iterable[Sequence[int]]) -> int:
     return rank
 
 
+def max_weight_column_basis(
+    generators: Sequence[Sequence[int]], weights: Sequence[int]
+) -> int:
+    """Largest total weight of a basis of the column matroid of the generators.
+
+    Greedy by decreasing weight over the columns of the generator matrix,
+    keeping a column when naive_rank finds it independent of those kept.
+    """
+    kept: list[int] = []
+    total = 0
+    for j in sorted(range(len(weights)), key=lambda j: -weights[j]):
+        cols = kept + [j]
+        if naive_rank([[g[k] for k in cols] for g in generators]) == len(cols):
+            kept = cols
+            total += weights[j]
+    return total
+
+
 def lattice_member(vectors: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
     """Membership of target in the integer row span of arbitrary vectors.
 

@@ -135,6 +135,38 @@ class TestExitCodes:
         assert str(sys.get_int_max_str_digits()) in err
 
 
+class TestTextReports:
+    # text mode prints a list of lists as space-separated vectors; a tuple
+    # in the results would print as its repr instead
+    @pytest.mark.parametrize(
+        "argv, payload, line",
+        [
+            (
+                ["rank"],
+                {"generators": [[1, 1, -1, -1], [1, 0, -1, 0]]},
+                "results.lattice_basis: (1,0,-1,0) (0,1,0,-1)",
+            ),
+            (["snf"], {"matrix": [[2, 0], [0, 3]]}, "results.u: (1,1) (-3,-2)"),
+            (
+                ["jacobian", "--isolated"],
+                CONIC,
+                "results.jacobian_generators: (1,0) (1,1) (1,2)",
+            ),
+            (["bedge"], CLAW_GRAPH, "results.cut_sets: () (0)"),
+            (
+                ["hibi", "--isolated", "--jacobian-crosscheck"],
+                {"elements": ["a", "b"], "covers": []},
+                "results.isolated.components: (a) (b)",
+            ),
+        ],
+        ids=["rank", "snf", "jacobian", "bedge", "hibi"],
+    )
+    def test_vector_field(self, capsys, tmp_path, argv, payload, line):
+        code, out, err = run(capsys, argv + [write_json(tmp_path, payload)])
+        assert code == 0, err
+        assert line in out.splitlines()
+
+
 class TestRank:
     def test_span_and_basis(self, capsys, tmp_path):
         payload = {"generators": [[1, 1, -1, -1], [1, 0, -1, 0]]}
@@ -174,6 +206,25 @@ class TestJacobian:
         assert r["isolated"]["method"] == "face-decomposition"
         assert "witness_powers" not in r["isolated"]
         assert report["caveats"]
+
+    def test_reduce_searches_a_thousand_columns(self, capsys, tmp_path):
+        # columns e_999, ..., e_1, then e_1 + e_2: the semigroup search goes
+        # one column deeper per column, past the interpreter's recursion limit
+        rows = [[0] * 1000 for _ in range(999)]
+        for j in range(999):
+            rows[998 - j][j] = 1
+        rows[0][999] = rows[1][999] = 1
+        gen = [0] * 1000
+        gen[997] = gen[998] = 1
+        gen[999] = -1
+        path = write_json(tmp_path, {"A": rows, "generators": [gen]})
+        code, out, err = run(capsys, ["jacobian", "--json", "--reduce", path])
+        assert code == 0, err
+        assert "Traceback" not in err
+        r = json.loads(out)["results"]
+        # the generator 0, the monomial 1, divides e_1 and e_2
+        assert r["jacobian_generators"] == [[0] * 999]
+        assert r["reduced"] is True
 
     def test_modulus(self, capsys, tmp_path):
         payload = {"A": [[1, 1, 1], [0, 1, 2]], "generators": [[2, -4, 2]]}

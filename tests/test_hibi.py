@@ -53,6 +53,13 @@ class TestPosetIdeals:
             ("a", "b", "c"),
         )
 
+    def test_long_chain(self):
+        # the search goes one element deeper per element, past the
+        # interpreter's recursion limit
+        labels = tuple(f"c{i:04d}" for i in range(1200))
+        chain = Poset(labels, tuple(zip(labels, labels[1:])))
+        assert len(poset_ideals(chain)) == 1201
+
     def test_antichain(self):
         assert poset_ideals(ANTICHAIN2) == ((), ("a",), ("b",), ("a", "b"))
 

@@ -29,12 +29,14 @@ from binheight.toric import (
     jacobian_generators,
     semigroup_contains,
     _facets,
+    _greedy_basis_weight,
 )
 from helpers import (
     brute_force_facets,
     labeled_posets,
     literal_fits,
     literal_isolated,
+    max_weight_column_basis,
     poset_from_relation,
     projected_columns,
     random_kernel_presentation,
@@ -271,6 +273,11 @@ class TestSemigroupMembership:
     def test_negative_target(self):
         assert semigroup_contains(conic().config, (-1, 0)) is False
 
+    def test_thousand_columns(self):
+        # the search goes one column deeper per column, past the
+        # interpreter's recursion limit, before the last column 1 fits
+        assert semigroup_contains(config([list(range(1100, 0, -1))]), (1,)) is True
+
     def test_negative_configuration_unsupported(self):
         cfg = config([[1, -1]])
         with pytest.raises(UnsupportedConfiguration):
@@ -327,6 +334,25 @@ class TestFacets:
                 assert _facets(pcols, r, cap=10**7) == expected, pcols
                 compared += 1
         assert compared > 300
+
+
+class TestColumnDuality:
+    def test_dual_greedy_matches_column_basis(self):
+        # the generators span ker(A), so the column matroid of H is the dual
+        # of A's: a maximum-weight basis of H's columns is the complement of
+        # a minimum-weight basis of A's
+        presentations = [
+            hibi_presentation(poset_from_relation(n, rel)).toric
+            for n in range(5)
+            for rel in labeled_posets(n)
+        ]
+        rng = random.Random(9)
+        presentations += [random_kernel_presentation(rng) for _ in range(200)]
+        for p in presentations:
+            pcols = projected_columns(p.config)
+            w = [rng.randrange(-5, 6) for _ in pcols]
+            dual = sum(w) - _greedy_basis_weight(pcols, w, len(pcols[0]))
+            assert max_weight_column_basis(p.generators, w) == dual, pcols
 
 
 class TestIsolatedSingularity:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterable, Sequence
 
 from .binomial import BinomialPresentation, HeightBoundReport, height_bounds
@@ -49,7 +50,7 @@ class Graph:
         for e in self.edges:
             try:
                 i, j = e
-                i, j = int(i), int(j)
+                i, j = index(i), index(j)
             except (TypeError, ValueError):
                 raise MalformedInput(f"edge {e!r} is not a vertex pair") from None
             if i == j:
@@ -204,10 +205,11 @@ def height_report(
 ) -> EdgeIdealHeightReport:
     """Exact height data for the edge binomials of g.
 
-    Heights come from the cut-set enumeration; the exponent span dimension is
-    checked against n - components and against the rank of the signed
-    incidence matrix.
+    Heights come from the cut-set enumeration, checked against `cap` first;
+    the exponent span dimension is checked against n - components and
+    against the rank of the signed incidence matrix.
     """
+    sets = cut_sets(g, cap=cap)
     pres = edge_presentation(g)
     bounds = height_bounds(pres)
     comp = components_after_removal(g)
@@ -221,7 +223,6 @@ def height_report(
         raise InternalInvariantViolation(
             "incidence matrix rank disagrees with n - components"
         )
-    sets = cut_sets(g, cap=cap)
     counts = g._removal_counts
     # the empty set always qualifies, so the list is never empty
     values = [

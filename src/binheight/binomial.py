@@ -11,6 +11,7 @@ caller assertion that the report echoes back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 from .errors import (
@@ -57,7 +58,10 @@ def checked_generators(
     """Generators as int tuples, each of length n and nonzero."""
     gens = []
     for k, g in enumerate(generators):
-        t = tuple(int(x) for x in g)
+        try:
+            t = tuple(map(index, g))
+        except TypeError:
+            raise MalformedInput(f"generator {k} has a non-integer entry") from None
         if len(t) != n:
             raise LengthMismatch(f"generator {k} has length {len(t)}, expected {n}")
         if not any(t):
@@ -118,12 +122,14 @@ def height_bounds(p: BinomialPresentation, unmixed: bool = False) -> HeightBound
     """Height bounds for the ideal presented by `p`.
 
     One route to the exponent lattice: the Hermite basis of the generators,
-    whose size is the span dimension.  Row operations keep the lattice, so
-    the Smith form of that r x n basis carries the elementary divisors; it
-    must find r of them, confirming that the basis rows are independent.
+    whose size r is the span dimension.  The r x r basis of its column lattice
+    has the same elementary divisors, and its Smith form tracks r x r
+    transforms, not n x n; it must find r divisors, confirming that the basis
+    rows are independent.
     """
     basis = lattice_basis(p.generators)
-    divisors = smith_normal_form(IntegerMatrix.from_rows(basis, cols=p.n)).divisors
+    columns = IntegerMatrix.from_rows(lattice_basis(zip(*basis)), cols=len(basis))
+    divisors = smith_normal_form(columns).divisors
     if len(divisors) != len(basis):
         raise InternalInvariantViolation(
             f"span dimension disagreement: basis {len(basis)}, "

@@ -22,7 +22,7 @@ from typing import Any, Sequence
 from .bedge import Graph, edge_presentation
 from .bedge import height_report as bedge_height_report
 from .binomial import BinomialPresentation, height_bounds
-from .errors import DomainError, MalformedInput, OutputTooLarge
+from .errors import DomainError, MalformedInput, OutputTooLarge, unprintable_digits
 from .hibi import Poset
 from .hibi import isolated_singularity_verdict as hibi_isolated
 from .hibi import presentation as hibi_presentation
@@ -106,15 +106,11 @@ def _str_list(data: dict, key: str) -> list[str]:
 
 def _check_printable(values: Sequence[int]) -> None:
     """Refuse a Smith transform entry too long for str() and json.dumps."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    largest = max(map(abs, values), default=0)
-    if limit and largest >= 10**limit:
-        digits = largest.bit_length() * 30103 // 100000  # never above the true count
-        while largest >= 10**digits:
-            digits += 1
+    digits = unprintable_digits(max(map(abs, values), default=0))
+    if digits:
         raise OutputTooLarge(
-            f"a Smith transform entry has {digits} decimal digits; the "
-            f"interpreter converts at most {limit} (sys.get_int_max_str_digits)"
+            f"a Smith transform entry has {digits} decimal digits; the interpreter "
+            f"converts at most {sys.get_int_max_str_digits()} (sys.get_int_max_str_digits)"
         )
 
 
@@ -240,7 +236,7 @@ def _cmd_polyomino(args, data: dict) -> tuple[dict, list[str]]:
         "interval_count": len(rep.presentation.generators),
         "span_dim": rep.bounds.span_dim,
         "statement": rep.statement(),
-        "picture": ascii_art(collection).split("\n"),
+        "picture": ascii_art(collection, cap=args.cap).split("\n"),
     }
     caveats = []
     if args.presentation:
@@ -287,16 +283,14 @@ def _cmd_bedge(args, data: dict) -> tuple[dict, list[str]]:
 
 
 def _cmd_hibi(args, data: dict) -> tuple[dict, list[str]]:
-    poset = Poset(
-        elements=tuple(_str_list(data, "elements")),
-        covers=tuple(
-            (str(c[0]), str(c[1]))
-            if isinstance(c, list) and len(c) == 2
-            else _bad_cover(c)
-            for c in _get(data, "covers")
-        ),
-    )
-    pres = hibi_presentation(poset)
+    elements = tuple(_str_list(data, "elements"))
+    covers = _get(data, "covers")
+    if not isinstance(covers, list) or not all(
+        isinstance(c, list) and len(c) == 2 for c in covers
+    ):
+        raise MalformedInput("field 'covers' must be a list of two-element lists")
+    poset = Poset(elements=elements, covers=tuple((str(a), str(b)) for a, b in covers))
+    pres = hibi_presentation(poset, cap=args.cap)
     results: dict[str, Any] = {
         "element_count": len(poset.elements),
         "ideal_count": len(pres.ideals),
@@ -333,10 +327,6 @@ def _cmd_hibi(args, data: dict) -> tuple[dict, list[str]]:
             "agrees": effective == (results["isolated"]["status"] == "isolated"),
         }
     return results, caveats
-
-
-def _bad_cover(c):
-    raise MalformedInput(f"cover {c!r} is not a two-element list")
 
 
 _COMMANDS = {

@@ -6,6 +6,8 @@ Malformed argv or unreadable/unparseable input files are not DomainErrors and
 exit with code 2.
 """
 
+import sys
+
 __all__ = [
     "DomainError",
     "LengthMismatch",
@@ -19,11 +21,11 @@ __all__ = [
     "EmptyCollection",
     "NotConnected",
     "OutputTooLarge",
-    "LatticeTooLarge",
     "NotAnIdeal",
     "InvalidPresentation",
     "MalformedInput",
     "InternalInvariantViolation",
+    "unprintable_digits",
 ]
 
 
@@ -71,10 +73,6 @@ class OutputTooLarge(DomainError):
     """A result integer has more decimal digits than the interpreter converts."""
 
 
-class LatticeTooLarge(DomainError):
-    """The ideal lattice of the poset exceeds the configured cap."""
-
-
 class NotAnIdeal(DomainError):
     """A vertex subset is not downward closed in the poset."""
 
@@ -94,11 +92,27 @@ class InternalInvariantViolation(DomainError):
 class EnumerationCapExceeded(DomainError):
     """An enumeration would exceed the configured cap.
 
-    Carries `required` (the number of steps the enumeration would take) and
-    `cap` (the configured limit) so callers can re-run with a larger cap.
+    Carries `required` (the number of steps the enumeration would take, or
+    with at_least a lower bound on it) and `cap` (the configured limit) so
+    callers can re-run with a larger cap.
     """
 
-    def __init__(self, required: int, cap: int, what: str = "enumeration"):
-        super().__init__(f"{what} needs {required} steps; cap is {cap}")
+    def __init__(self, required: int, cap: int, what: str = "enumeration", at_least=False):
+        digits = unprintable_digits(required)
+        count = f"a {digits}-digit number of" if digits else str(required)
+        bound = "at least " if at_least else ""
+        super().__init__(f"{what} needs {bound}{count} steps; cap is {cap}")
         self.required = required
         self.cap = cap
+
+
+def unprintable_digits(x: int) -> int:
+    """Decimal digits of x when str(x) would refuse it, else 0."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    x = abs(x)
+    if not limit or x < 10**limit:
+        return 0
+    digits = x.bit_length() * 30103 // 100000  # never above the true count
+    while x >= 10**digits:
+        digits += 1
+    return digits

@@ -15,23 +15,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
+from math import comb, isqrt
 from typing import Iterable
 
 from .binomial import BinomialPresentation
 from .errors import (
+    EnumerationCapExceeded,
     InternalInvariantViolation,
-    LatticeTooLarge,
     MalformedInput,
     NotAnIdeal,
 )
-from .linalg import IntegerMatrix
+from .linalg import DEFAULT_ENUMERATION_CAP, IntegerMatrix
 from .toric import PERFECT_FIELD_CAVEAT, ToricConfiguration, ToricIdealPresentation
 
 __all__ = [
     "Poset",
     "HibiPresentation",
     "HibiSingularityReport",
-    "MAX_IDEALS",
     "poset_ideals",
     "is_ideal",
     "join_and_meet",
@@ -41,8 +42,6 @@ __all__ = [
     "comparability_components",
     "isolated_singularity_verdict",
 ]
-
-MAX_IDEALS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -78,10 +77,9 @@ class Poset:
         # Kahn's algorithm both rejects cycles and fixes a linear extension
         succ = {e: set() for e in labels}
         indeg = {e: 0 for e in labels}
-        for lo, hi in self.covers:
-            if hi not in succ[lo]:
-                succ[lo].add(hi)
-                indeg[hi] += 1
+        for lo, hi in self.covers:  # distinct pairs
+            succ[lo].add(hi)
+            indeg[hi] += 1
         ready = sorted(e for e in labels if indeg[e] == 0)
         topo = []
         while ready:
@@ -98,57 +96,59 @@ class Poset:
         object.__setattr__(self, "_topo", tuple(topo))
 
     @cached_property
-    def above(self) -> dict[str, frozenset[str]]:
-        """Strictly greater elements, by transitive closure."""
-        succ: dict[str, set[str]] = {e: set() for e in self.elements}
+    def below(self) -> dict[str, frozenset[str]]:
+        """Strictly smaller elements, by transitive closure."""
+        lower: dict[str, list[str]] = {e: [] for e in self.elements}
         for lo, hi in self.covers:
-            succ[lo].add(hi)
+            lower[hi].append(lo)
         out: dict[str, frozenset[str]] = {}
-        for e in reversed(self._topo):
-            acc: set[str] = set()
-            for f in succ[e]:
-                acc.add(f)
-                acc |= out[f]
-            out[e] = frozenset(acc)
+        for e in self._topo:
+            out[e] = frozenset(lower[e]).union(*(out[f] for f in lower[e]))
         return out
 
-    @cached_property
-    def below(self) -> dict[str, frozenset[str]]:
-        inv: dict[str, set[str]] = {e: set() for e in self.elements}
-        for e, ups in self.above.items():
-            for f in ups:
-                inv[f].add(e)
-        return {e: frozenset(s) for e, s in inv.items()}
-
     def comparable(self, a: str, b: str) -> bool:
-        return a == b or b in self.above[a] or a in self.above[b]
+        return a == b or a in self.below[b] or b in self.below[a]
 
 
-def poset_ideals(
-    p: Poset, max_ideals: int = MAX_IDEALS
-) -> tuple[tuple[str, ...], ...]:
-    """Every down-closed subset, as sorted label tuples ordered by size then lex."""
-    topo = p._topo
-    below = p.below
-    found: list[frozenset[str]] = []
+def _ideal_masks(p: Poset, limit: int) -> list[int]:
+    """Down-closed subsets as bit masks over p.elements, unordered; at most limit + 1."""
+    bit = {e: 1 << k for k, e in enumerate(p.elements)}
+    steps = [(bit[e], sum(bit[b] for b in p.below[e])) for e in p._topo]
+    found: list[int] = []
     # depth-first along the linear extension, leaving each element out before
     # putting it in; the stack holds (next position, ideal so far)
-    stack = [(0, frozenset())]
+    stack = [(0, 0)]
     while stack:
         k, current = stack.pop()
-        if k == len(topo):
-            if len(found) >= max_ideals:
-                raise LatticeTooLarge(
-                    f"more than {max_ideals} ideals; raise max_ideals to proceed"
-                )
+        if k == len(steps):
             found.append(current)
+            if len(found) > limit:
+                break
             continue
-        e = topo[k]
+        e, below = steps[k]
         # every element below e sits earlier in the linear extension
-        if all(b in current for b in below[e]):
-            stack.append((k + 1, current | {e}))
+        if current & below == below:
+            stack.append((k + 1, current | e))
         stack.append((k + 1, current))
-    return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t)))
+    return found
+
+
+def _labelled(p: Poset, masks: Iterable[int]) -> list[tuple[tuple[str, ...], int]]:
+    """(sorted labels, mask) per ideal, ordered by size then labels."""
+    order = sorted(range(len(p.elements)), key=p.elements.__getitem__)
+    labelled = [(tuple(p.elements[k] for k in order if m >> k & 1), m) for m in masks]
+    return sorted(labelled, key=lambda t: (len(t[0]), t[0]))
+
+
+def poset_ideals(p: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[tuple[str, ...], ...]:
+    """Every down-closed subset, as sorted label tuples ordered by size then lex.
+
+    More than `cap` ideals are refused.
+    """
+    masks = _ideal_masks(p, cap)
+    if len(masks) > cap:
+        raise EnumerationCapExceeded(len(masks), cap, what="ideal enumeration", at_least=True)
+    return tuple(labels for labels, _ in _labelled(p, masks))
 
 
 def is_ideal(p: Poset, subset: Iterable[str]) -> bool:
@@ -185,45 +185,47 @@ class HibiPresentation:
 
     @cached_property
     def binomial(self) -> BinomialPresentation:
-        return BinomialPresentation(
-            n=len(self.ideals),
-            variable_names=self.names,
-            generators=self.toric.generators,
-        )
+        return BinomialPresentation(len(self.ideals), self.names, self.toric.generators)
 
 
-def presentation(p: Poset, max_ideals: int = MAX_IDEALS) -> HibiPresentation:
+def presentation(p: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> HibiPresentation:
     """Build the lattice presentation and certify its shape.
 
     Columns of the configuration are (1, indicator of the ideal); relations
     pair the inclusion-incomparable ideals.  Construction verifies that every
     relation lies in the configuration kernel, that the relations span the
     kernel rationally, and that the configuration has full rank
-    #elements + 1.
+    #elements + 1.  `cap` bounds the pair tests among the ideals (checked
+    while enumerating them), then the entries of the dense relations.
     """
-    ideals = poset_ideals(p, max_ideals=max_ideals)
-    index = {i: k for k, i in enumerate(ideals)}
-    names = tuple("y(" + ",".join(i) + ")" for i in ideals)
-    rows = [[1] * len(ideals)]
-    for e in p.elements:
-        rows.append([1 if e in idl else 0 for idl in ideals])
-    config = ToricConfiguration(
-        matrix=IntegerMatrix.from_rows(rows, cols=len(ideals)),
-        column_names=names,
-    )
+    # the largest ideal count whose pairs fit the cap
+    masks = _ideal_masks(p, (1 + isqrt(1 + 8 * max(cap, 0))) // 2)
+    if (pairs := comb(len(masks), 2)) > cap:
+        raise EnumerationCapExceeded(pairs, cap, what="ideal pair tests", at_least=True)
+    labelled = _labelled(p, masks)
+    masks = [m for _, m in labelled]
+    n = len(masks)
+
+    def incomparable():
+        for (ka, a), (kb, b) in combinations(enumerate(masks), 2):
+            if a & b not in (a, b):
+                yield ka, kb, a | b, a & b
+
+    entries = sum(1 for _ in incomparable()) * n
+    if entries > cap:
+        raise EnumerationCapExceeded(entries, cap, what="relation entries")
+    index = {m: k for k, m in enumerate(masks)}
     gens = []
-    for ka in range(len(ideals)):
-        sa = set(ideals[ka])
-        for kb in range(ka + 1, len(ideals)):
-            sb = set(ideals[kb])
-            if sa <= sb or sb <= sa:
-                continue
-            v = [0] * len(ideals)
-            v[ka] += 1
-            v[kb] += 1
-            v[index[tuple(sorted(sa | sb))]] -= 1
-            v[index[tuple(sorted(sa & sb))]] -= 1
-            gens.append(tuple(v))
+    for ka, kb, join, meet in incomparable():
+        # four distinct ideals, since the pair is incomparable
+        v = [0] * n
+        v[ka] = v[kb] = 1
+        v[index[join]] = v[index[meet]] = -1
+        gens.append(tuple(v))
+    ideals = tuple(labels for labels, _ in labelled)
+    names = tuple("y(" + ",".join(i) + ")" for i in ideals)
+    rows = [[1] * n] + [[m >> k & 1 for m in masks] for k in range(len(p.elements))]
+    config = ToricConfiguration(IntegerMatrix.from_rows(rows, cols=n), column_names=names)
     toric = ToricIdealPresentation(config=config, generators=tuple(gens))
     if config.rank != len(p.elements) + 1:
         raise InternalInvariantViolation(
@@ -233,9 +235,9 @@ def presentation(p: Poset, max_ideals: int = MAX_IDEALS) -> HibiPresentation:
     return HibiPresentation(poset=p, ideals=ideals, names=names, toric=toric)
 
 
-def defining_ideal_height(p: Poset, max_ideals: int = MAX_IDEALS) -> int:
+def defining_ideal_height(p: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Height of the lattice relations: #ideals - #elements - 1, certified."""
-    return presentation(p, max_ideals=max_ideals).height
+    return presentation(p, cap=cap).height
 
 
 def dual(p: Poset) -> Poset:
@@ -246,19 +248,25 @@ def dual(p: Poset) -> Poset:
 
 
 def comparability_components(p: Poset) -> tuple[tuple[str, ...], ...]:
-    """Connected components of the comparability graph, sorted."""
+    """Connected components of the comparability graph, sorted.
+
+    Comparability is the transitive closure of the relations, so these are
+    the components of the graph of relations.
+    """
+    nbrs: dict[str, set[str]] = {e: set() for e in p.elements}
+    for lo, hi in p.covers:
+        nbrs[lo].add(hi)
+        nbrs[hi].add(lo)
     remaining = set(p.elements)
     comps = []
     while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
+        comp: set[str] = set()
+        frontier = [min(remaining)]
         while frontier:
             e = frontier.pop()
-            for f in p.above[e] | p.below[e]:
-                if f in remaining and f not in comp:
-                    comp.add(f)
-                    frontier.append(f)
+            if e not in comp:
+                comp.add(e)
+                frontier.extend(nbrs[e] - comp)
         remaining -= comp
         comps.append(tuple(sorted(comp)))
     return tuple(sorted(comps))
@@ -276,17 +284,10 @@ class HibiSingularityReport:
 def isolated_singularity_verdict(p: Poset) -> HibiSingularityReport:
     """Chain test: isolated iff every comparability component is totally ordered."""
     comps = comparability_components(p)
-    offending = None
-    for comp in comps:
-        for i in range(len(comp)):
-            for j in range(i + 1, len(comp)):
-                if not p.comparable(comp[i], comp[j]):
-                    offending = (comp[i], comp[j])
-                    break
-            if offending:
-                break
-        if offending:
-            break
+    offending = next(
+        (ab for comp in comps for ab in combinations(comp, 2) if not p.comparable(*ab)),
+        None,
+    )
     chains = offending is None
     return HibiSingularityReport(
         status="isolated" if chains else "not_isolated",

@@ -10,12 +10,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb, gcd
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EnumerationCapExceeded,
     IndexOutOfRange,
     LengthMismatch,
+    MalformedInput,
     SizeMismatch,
 )
 
@@ -46,7 +48,10 @@ class IntegerMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise SizeMismatch(f"negative shape {self.rows}x{self.cols}")
-        entries = tuple(int(x) for x in self.entries)
+        try:
+            entries = tuple(map(index, self.entries))
+        except TypeError:
+            raise MalformedInput("matrix entries must be integers") from None
         if len(entries) != self.rows * self.cols:
             raise SizeMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
@@ -375,15 +380,10 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
                 continue
             # pivot must divide the rest of the block for the divisor chain
             piv = d[t][t]
-            offender = None
-            for i in range(t + 1, nrows):
-                di = d[i]
-                for j in range(t + 1, ncols):
-                    if di[j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in range(t + 1, nrows) if any(x % piv for x in d[i][t + 1 :])),
+                None,
+            )
             if offender is None:
                 break
             d[t] = [x + y for x, y in zip(d[t], d[offender])]
@@ -479,9 +479,7 @@ class IncrementalRank:
         p = next((j for j, x in enumerate(v) if x), None)
         if p is None:
             return False
-        g = 0
-        for x in v:
-            g = gcd(g, x)
+        g = gcd(*v)
         if v[p] < 0:
             g = -g
         v = [x // g for x in v]

@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import index
+from typing import Callable, Iterable, Sequence
 
 from .binomial import BinomialPresentation, HeightBoundReport, height_bounds
 from .errors import (
@@ -61,7 +62,7 @@ class CellCollection:
         for c in self.cells:
             try:
                 x, y = c
-                cell = (int(x), int(y))
+                cell = (index(x), index(y))
             except (TypeError, ValueError):
                 raise MalformedInput(f"cell {c!r} is not a coordinate pair") from None
             seen.add(cell)
@@ -203,20 +204,24 @@ def height_report(
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def is_connected(collection: CellCollection) -> bool:
-    """Edge-connectivity of the cells (shared edges, not corners)."""
-    cells = collection.cell_set
-    start = collection.cells[0]
+def _reach(start: Cell, allowed: Callable[[Cell], bool]) -> set[Cell]:
+    """Cells reached from start through edge neighbours for which allowed holds."""
     seen = {start}
     queue = deque([start])
     while queue:
         x, y = queue.popleft()
         for dx, dy in _STEPS:
             nb = (x + dx, y + dy)
-            if nb in cells and nb not in seen:
+            if nb not in seen and allowed(nb):
                 seen.add(nb)
                 queue.append(nb)
-    return len(seen) == len(cells)
+    return seen
+
+
+def is_connected(collection: CellCollection) -> bool:
+    """Edge-connectivity of the cells (shared edges, not corners)."""
+    cells = collection.cell_set
+    return len(_reach(collection.cells[0], cells.__contains__)) == len(cells)
 
 
 def is_simple(collection: CellCollection) -> bool:
@@ -229,24 +234,12 @@ def is_simple(collection: CellCollection) -> bool:
         raise NotConnected("hole detection needs a connected collection")
     x0, y0, x1, y1 = collection.bounding_box
     cells = collection.cell_set
-    lo = (x0 - 1, y0 - 1)
-    hi = (x1 + 1, y1 + 1)
-    seen = {lo}
-    queue = deque([lo])
-    while queue:
-        x, y = queue.popleft()
-        for dx, dy in _STEPS:
-            nb = (x + dx, y + dy)
-            if (
-                lo[0] <= nb[0] <= hi[0]
-                and lo[1] <= nb[1] <= hi[1]
-                and nb not in cells
-                and nb not in seen
-            ):
-                seen.add(nb)
-                queue.append(nb)
-    total = (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
-    return len(seen) == total - len(cells)
+
+    def margin_or_gap(c: Cell) -> bool:
+        return x0 - 1 <= c[0] <= x1 + 1 and y0 - 1 <= c[1] <= y1 + 1 and c not in cells
+
+    total = (x1 - x0 + 3) * (y1 - y0 + 3)
+    return len(_reach((x0 - 1, y0 - 1), margin_or_gap)) == total - len(cells)
 
 
 def fills_bounding_box(collection: CellCollection) -> bool:
@@ -306,16 +299,19 @@ def toric_presentation(
     The configuration columns must correspond to the vertices in sorted order;
     construction rejects configurations whose kernel misses any minor.
     """
-    gens = tuple(
-        interval_vector(collection, a, b)
-        for a, b in inner_intervals(collection, cap=cap)
-    )
+    gens = inner_minor_presentation(collection, cap=cap).generators
     return ToricIdealPresentation(config=configuration, generators=gens)
 
 
-def ascii_art(collection: CellCollection) -> str:
-    """Rows of '#' and '.', highest y first."""
+def ascii_art(collection: CellCollection, cap: int = DEFAULT_ENUMERATION_CAP) -> str:
+    """Rows of '#' and '.', highest y first.
+
+    A bounding box of more than `cap` unit squares is refused.
+    """
     x0, y0, x1, y1 = collection.bounding_box
+    area = (x1 - x0 + 1) * (y1 - y0 + 1)
+    if area > cap:
+        raise EnumerationCapExceeded(area, cap, what="picture")
     cells = collection.cell_set
     lines = []
     for y in range(y1, y0 - 1, -1):

@@ -247,27 +247,18 @@ def jacobian_generators(
         found.add(tuple(u))
     generators = tuple(sorted(found))
     if reduce and found:
-        if not p.config.is_nonnegative:
-            raise ReductionUnavailable(
-                "divisibility reduction needs a nonnegative configuration"
+        try:
+            oracle = _SemigroupOracle(p.config)
+        except UnsupportedConfiguration as e:
+            raise ReductionUnavailable(f"divisibility reduction: {e}") from None
+        generators = tuple(
+            u
+            for u in generators
+            if not any(
+                w is not u and oracle.contains(tuple(a - b for a, b in zip(u, w)))
+                for w in generators
             )
-        if any(not any(c) for c in cols):
-            raise ReductionUnavailable(
-                "divisibility reduction needs a configuration without zero columns"
-            )
-        oracle = _SemigroupOracle(p.config)
-        kept = []
-        for u in generators:
-            dominated = False
-            for w in generators:
-                if w is not u and oracle.contains(
-                    tuple(a - b for a, b in zip(u, w))
-                ):
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append(u)
-        generators = tuple(kept)
+        )
     return JacobianIdealReport(h=h, generators=generators, reduced=reduce)
 
 

@@ -7,7 +7,7 @@ package through different code paths.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, gcd
 from typing import Iterable, Sequence
 
@@ -146,6 +146,55 @@ def poset_from_relation(n: int, rel: Iterable[tuple[int, int]]) -> Poset:
         elements=labels,
         covers=tuple((labels[a], labels[b]) for a, b in sorted(rel)),
     )
+
+
+def poset_classes(n: int) -> list[frozenset[tuple[int, int]]]:
+    """One relation set per isomorphism class of posets on {0..n-1}."""
+    seen = set()
+    out = []
+    for rel in labeled_posets(n):
+        canon = min(
+            tuple(sorted((p[a], p[b]) for a, b in rel))
+            for p in permutations(range(n))
+        )
+        if canon not in seen:
+            seen.add(canon)
+            out.append(rel)
+    return out
+
+
+def set_presentation(p: Poset):
+    """Ideals, names, relations and configuration rows of the ideal lattice.
+
+    Ideals by testing every subset of the elements, relations by the
+    straightening pair loop over label sets: each inclusion-incomparable
+    pair I, J gives y_I y_J - y_(I join J) y_(I meet J).
+    """
+    elements = p.elements
+    ideals = []
+    for bits in range(1 << len(elements)):
+        s = {e for k, e in enumerate(elements) if bits >> k & 1}
+        if all(p.below[a] <= s for a in s):
+            ideals.append(tuple(sorted(s)))
+    ideals.sort(key=lambda t: (len(t), t))
+    index = {i: k for k, i in enumerate(ideals)}
+    names = tuple("y(" + ",".join(i) + ")" for i in ideals)
+    gens = []
+    for ka in range(len(ideals)):
+        sa = set(ideals[ka])
+        for kb in range(ka + 1, len(ideals)):
+            sb = set(ideals[kb])
+            if sa <= sb or sb <= sa:
+                continue
+            v = [0] * len(ideals)
+            v[ka] += 1
+            v[kb] += 1
+            v[index[tuple(sorted(sa | sb))]] -= 1
+            v[index[tuple(sorted(sa & sb))]] -= 1
+            gens.append(tuple(v))
+    rows = [tuple([1] * len(ideals))]
+    rows += [tuple(1 if e in i else 0 for i in ideals) for e in elements]
+    return tuple(ideals), names, tuple(gens), tuple(rows)
 
 
 def fixed_polyominoes(max_cells: int) -> dict[int, list[tuple[tuple[int, int], ...]]]:

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import binheight.bedge
 from binheight.bedge import (
     Graph,
     components_after_removal,
@@ -35,6 +36,11 @@ class TestGraph:
     def test_vertex_out_of_range(self):
         with pytest.raises(MalformedInput):
             Graph(2, ((0, 2),))
+
+    @pytest.mark.parametrize("vertex", [1.7, "1"])
+    def test_non_integer_vertex_rejected(self, vertex):
+        with pytest.raises(MalformedInput):
+            Graph(3, ((0, vertex),))
 
     def test_empty_graph_allowed(self):
         g = Graph(3, ())
@@ -188,6 +194,20 @@ class TestHeightReport:
             assert r.span_dim == n - c
             assert r.height <= r.span_dim <= r.bigheight
             assert r.unmixed == (r.height == r.bigheight)
+
+    def test_cap_refusal_comes_first(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("height_bounds ran before the cap check")
+
+        monkeypatch.setattr(binheight.bedge, "height_bounds", fail)
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            height_report(Graph(20, ()), cap=2**19)
+        assert exc.value.required == 2**20
+
+    def test_unprintable_count_in_message(self):
+        # 2**20000 has 6021 digits, past the interpreter's int-to-str limit
+        text = str(EnumerationCapExceeded(2**20000, 1))
+        assert text == "enumeration needs a 6021-digit number of steps; cap is 1"
 
     def test_statement_mentions_sandwich(self):
         text = height_report(CLAW).statement()

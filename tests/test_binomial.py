@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import binheight.binomial
 from binheight.bedge import Graph, edge_presentation
 from binheight.binomial import (
     BinomialPresentation,
@@ -70,6 +71,12 @@ class TestPresentation:
     def test_default_names(self):
         p = BinomialPresentation.with_default_names(((1, -1),))
         assert p.variable_names == ("x1", "x2")
+
+    @pytest.mark.parametrize("entry", [1.5, "1"])
+    def test_non_integer_entry_rejected(self, entry):
+        # int() would have truncated 1.5 to 1 and parsed "1"
+        with pytest.raises(MalformedInput):
+            BinomialPresentation(n=2, variable_names=("u", "v"), generators=((entry, -1),))
 
 
 class TestHeightBounds:
@@ -153,6 +160,27 @@ class TestHeightBounds:
             height_bounds(combined).span_dim
             == height_bounds(left).span_dim + height_bounds(right).span_dim
         )
+
+    def test_smith_form_sees_at_most_r_columns(self, monkeypatch):
+        # the divisors come from the r x r basis of the basis's column
+        # lattice, not from the r x n basis with its n x n column transform
+        shapes = []
+
+        def spy(m):
+            shapes.append(m.shape)
+            return smith_normal_form(m)
+
+        monkeypatch.setattr(binheight.binomial, "smith_normal_form", spy)
+        rng = random.Random(23)
+        for _ in range(30):
+            n = rng.randrange(2, 12)
+            gens = [tuple(rng.randrange(-4, 5) for _ in range(n)) for _ in range(3)]
+            gens = [g for g in gens if any(g)] or [(1,) + (0,) * (n - 1)]
+            full = IntegerMatrix.from_rows(gens)
+            report = height_bounds(BinomialPresentation.with_default_names(gens))
+            r = report.span_dim
+            assert shapes.pop() == (r, r)
+            assert report.elementary_divisors == smith_normal_form(full).divisors
 
     def test_basis_generates_each_generator(self):
         from helpers import lattice_member

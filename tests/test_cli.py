@@ -121,6 +121,26 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert reason in err
 
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("bedge", {"n": 20000, "edges": []}, "a 6021-digit number of steps"),
+            ("polyomino", {"cells": [[0, 0], [10**9, 0]]}, "picture needs 1000000001 steps"),
+            (
+                "hibi",
+                {"elements": [f"e{i}" for i in range(20)], "covers": []},
+                "ideal pair tests needs at least 10001628 steps",
+            ),
+        ],
+        ids=["edgeless-20000", "far-apart-cells", "antichain-20"],
+    )
+    def test_refused_before_the_work(self, capsys, tmp_path, command, payload, message):
+        code, out, err = run(capsys, [command, "--json", write_json(tmp_path, payload)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("EnumerationCapExceeded: ")
+        assert message in err
+
     @pytest.mark.parametrize("mode", [["--json"], []])
     def test_unprintable_smith_transform_is_exit_1(self, capsys, tmp_path, mode):
         # the column transform of this matrix has an entry of 4704 digits
@@ -183,6 +203,18 @@ class TestRank:
         report = run_json(capsys, ["rank", "--json", "--unmixed", path])
         assert "height = 1" in report["results"]["statement"]
         assert report["results"]["variables"] == ["u", "v"]
+
+
+    def test_twenty_thousand_variables(self, capsys, tmp_path):
+        # the Smith form works on the 1 x 1 column basis, not on the basis
+        # with a 20,000 x 20,000 column transform
+        gen = [0] * 20000
+        gen[0], gen[1] = 1, -1
+        path = write_json(tmp_path, {"generators": [gen]})
+        r = run_json(capsys, ["rank", "--json", path])["results"]
+        assert r["span_dim"] == 1
+        assert r["elementary_divisors"] == [1]
+        assert r["lattice_basis"] == [gen]
 
 
 class TestSnf:
@@ -294,15 +326,16 @@ class TestHibi:
         assert r["jacobian_crosscheck"]["agrees"] is True
 
     def test_cap_reaches_facet_enumeration(self, capsys, tmp_path):
-        # 16 ideals in 5 rows; the double description of the facets tries at
-        # most 8 positive/negative ray pairs when it adds one column
+        # 16 ideals: a cap of 7 stops the ideal enumeration at 5 ideals, whose
+        # 10 pair tests already exceed it (the facet step is tested on the
+        # library in test_toric.py)
         antichain = {"elements": ["a", "b", "c", "d"], "covers": []}
         path = write_json(tmp_path, antichain)
         argv = ["hibi", "--json", "--jacobian-crosscheck", path]
         code, _, err = run(capsys, argv + ["--cap", "7"])
         assert code == 1
         assert "EnumerationCapExceeded" in err
-        assert "facet pairs needs 8 steps" in err
+        assert "ideal pair tests needs at least 10 steps; cap is 7" in err
         r = run_json(capsys, argv)["results"]["jacobian_crosscheck"]
         assert r["verdict"] is True
         assert r["method"] == "face-decomposition"

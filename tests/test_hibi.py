@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from binheight.errors import LatticeTooLarge, MalformedInput, NotAnIdeal
+from binheight.errors import EnumerationCapExceeded, MalformedInput, NotAnIdeal
 from binheight.hibi import (
     Poset,
     comparability_components,
@@ -14,7 +14,12 @@ from binheight.hibi import (
     poset_ideals,
     presentation,
 )
-from helpers import labeled_posets, poset_from_relation
+from helpers import (
+    labeled_posets,
+    poset_classes,
+    poset_from_relation,
+    set_presentation,
+)
 
 CHAIN3 = Poset(("a", "b", "c"), (("a", "b"), ("b", "c")))
 ANTICHAIN2 = Poset(("a", "b"), ())
@@ -94,8 +99,8 @@ class TestPosetIdeals:
             assert len(poset_ideals(p)) == brute
 
     def test_size_cap(self):
-        with pytest.raises(LatticeTooLarge):
-            poset_ideals(ANTICHAIN2, max_ideals=3)
+        with pytest.raises(EnumerationCapExceeded, match="at least 4 steps"):
+            poset_ideals(ANTICHAIN2, cap=3)
 
 
 class TestJoinAndMeet:
@@ -166,6 +171,45 @@ class TestPresentation:
         h = presentation(Poset((), ()))
         assert h.height == 0
         assert h.names == ("y()",)
+
+    def test_matches_set_oracle(self):
+        # bit masks against the label-set pair loop, on every labelled poset
+        # of at most 4 elements and every class of 1-5 elements; listing the
+        # elements in reverse makes bit order differ from label order
+        posets = [poset_from_relation(n, rel) for n in range(5) for rel in labeled_posets(n)]
+        classes = [poset_from_relation(n, rel) for n in range(1, 6) for rel in poset_classes(n)]
+        assert len(classes) == 87
+        for p in posets + classes:
+            for q in (p, Poset(p.elements[::-1], p.covers)):
+                h = presentation(q)
+                m = h.toric.config.matrix
+                rows = tuple(m.row(i) for i in range(m.rows))
+                got = (h.ideals, h.names, h.toric.generators, rows)
+                assert got == set_presentation(q), q
+
+    def test_pair_tests_capped_while_enumerating(self):
+        # 2^20 ideals: the enumeration stops at the first 4473, whose pairs
+        # already exceed the default cap
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            presentation(Poset(tuple(f"e{i}" for i in range(20)), ()))
+        assert exc.value.required == 4473 * 4472 // 2
+        assert "at least" in str(exc.value)
+
+    def test_relation_entries_capped_before_building(self):
+        # the 3-antichain: 8 ideals, 9 incomparable pairs, 72 dense entries
+        antichain = Poset(("a", "b", "c"), ())
+        assert len(presentation(antichain, cap=72).toric.generators) == 9
+        with pytest.raises(EnumerationCapExceeded, match="relation entries needs 72 steps"):
+            presentation(antichain, cap=71)
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            defining_ideal_height(Poset(tuple("abcdefghi"), ()))
+        assert exc.value.required == 57_162_240
+
+    def test_long_chain(self):
+        labels = tuple(f"c{i:04d}" for i in range(1200))
+        h = presentation(Poset(labels, tuple(zip(labels, labels[1:]))))
+        assert len(h.ideals) == 1201
+        assert h.toric.generators == ()
 
     def test_height_formula(self):
         for rel in labeled_posets(4):

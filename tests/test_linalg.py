@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from binheight.errors import EnumerationCapExceeded, LengthMismatch, SizeMismatch
+from binheight.errors import (
+    EnumerationCapExceeded,
+    LengthMismatch,
+    MalformedInput,
+    SizeMismatch,
+)
 from binheight.linalg import (
     IncrementalRank,
     IntegerMatrix,
@@ -31,6 +36,11 @@ class TestIntegerMatrix:
     def test_empty_dimensions(self):
         assert mat([], cols=3).shape == (0, 3)
         assert mat([[], []], cols=0).shape == (2, 0)
+
+    @pytest.mark.parametrize("entry", [2.9, "2"])
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises(MalformedInput):
+            IntegerMatrix(1, 1, (entry,))
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(LengthMismatch):

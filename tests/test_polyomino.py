@@ -5,6 +5,7 @@ import pytest
 from binheight.binomial import height_bounds
 from binheight.errors import (
     EmptyCollection,
+    EnumerationCapExceeded,
     InvalidPresentation,
     MalformedInput,
     NotConnected,
@@ -43,6 +44,11 @@ class TestCellCollection:
     def test_malformed_cell_rejected(self):
         with pytest.raises(MalformedInput):
             CellCollection(((0,),))
+
+    @pytest.mark.parametrize("coordinate", [0.5, "0"])
+    def test_non_integer_coordinate_rejected(self, coordinate):
+        with pytest.raises(MalformedInput):
+            CellCollection(((coordinate, 0),))
 
     def test_vertices_of_single_cell(self):
         c = CellCollection.of([(0, 0)])
@@ -238,3 +244,12 @@ class TestAsciiArt:
     def test_hole_is_rendered_blank(self):
         art = ascii_art(RING)
         assert art == "###\n#.#\n###"
+
+    def test_cap_bounds_the_picture(self):
+        far = CellCollection.of([(0, 0), (10**9, 0)])
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            ascii_art(far)
+        assert exc.value.required == 10**9 + 1
+        assert ascii_art(RING, cap=9) == "###\n#.#\n###"
+        with pytest.raises(EnumerationCapExceeded, match="picture needs 9 steps"):
+            ascii_art(RING, cap=8)

@@ -400,6 +400,13 @@ class TestIsolatedSingularity:
             assert r.method == "face-decomposition"
             assert r.verdict == literal_isolated(p), p.config.columns
 
+    def test_cap_reaches_facet_enumeration(self):
+        # 16 ideals in 5 rows; the double description of the facets tries at
+        # most 8 positive/negative ray pairs when it adds one column
+        with pytest.raises(EnumerationCapExceeded, match="facet pairs needs 8 steps"):
+            isolated_singularity_by_jacobian(antichain(4), cap=7)
+        assert isolated_singularity_by_jacobian(antichain(4), cap=8).verdict is True
+
     def test_verdict_false_example(self):
         # one bottom element under two incomparable tops
         poset = Poset(("p", "q", "r"), (("p", "q"), ("p", "r")))

@@ -166,15 +166,16 @@ def poset_classes(n: int) -> list[frozenset[tuple[int, int]]]:
 def set_presentation(p: Poset):
     """Ideals, names, relations and configuration rows of the ideal lattice.
 
-    Ideals by testing every subset of the elements, relations by the
-    straightening pair loop over label sets: each inclusion-incomparable
-    pair I, J gives y_I y_J - y_(I join J) y_(I meet J).
+    Ideals by testing every subset of the elements for closure under the
+    generating relations, relations by the straightening pair loop over
+    label sets: each inclusion-incomparable pair I, J gives
+    y_I y_J - y_(I join J) y_(I meet J).
     """
     elements = p.elements
     ideals = []
     for bits in range(1 << len(elements)):
         s = {e for k, e in enumerate(elements) if bits >> k & 1}
-        if all(p.below[a] <= s for a in s):
+        if all(lo in s for lo, hi in p.covers if hi in s):
             ideals.append(tuple(sorted(s)))
     ideals.sort(key=lambda t: (len(t), t))
     index = {i: k for k, i in enumerate(ideals)}

@@ -35,9 +35,7 @@ from .toric import (
     JacobianIdealReport,
     ToricConfiguration,
     ToricIdealPresentation,
-    binomial_degree,
     isolated_singularity_by_jacobian,
-    jacobian_entry,
     jacobian_generators,
     semigroup_contains,
 )
@@ -65,8 +63,6 @@ __all__ = [
     "ToricIdealPresentation",
     "JacobianIdealReport",
     "IsolatedSingularityReport",
-    "binomial_degree",
-    "jacobian_entry",
     "jacobian_generators",
     "semigroup_contains",
     "isolated_singularity_by_jacobian",

@@ -22,7 +22,13 @@ from typing import Any, Sequence
 from .bedge import Graph, edge_presentation
 from .bedge import height_report as bedge_height_report
 from .binomial import BinomialPresentation, height_bounds
-from .errors import DomainError, MalformedInput, OutputTooLarge, unprintable_digits
+from .errors import (
+    DomainError,
+    MalformedInput,
+    OutputTooLarge,
+    UnsaturatedLattice,
+    unprintable_digits,
+)
 from .hibi import Poset
 from .hibi import isolated_singularity_verdict as hibi_isolated
 from .hibi import presentation as hibi_presentation
@@ -197,6 +203,16 @@ def _toric_presentation_from(data: dict) -> ToricIdealPresentation:
 
 def _cmd_jacobian(args, data: dict) -> tuple[dict, list[str]]:
     pres = _toric_presentation_from(data)
+    if args.isolated and pres.generators:
+        # an unsaturated lattice L gives I_L, not the toric ideal of A
+        divisors = height_bounds(
+            BinomialPresentation.with_default_names(pres.generators)
+        ).elementary_divisors
+        if any(d != 1 for d in divisors):
+            raise UnsaturatedLattice(
+                "--isolated needs generators whose lattice is saturated; "
+                f"its elementary divisors are {list(divisors)}"
+            )
     rep = jacobian_generators(
         pres, modulus=args.mod, reduce=args.reduce, cap=args.cap
     )

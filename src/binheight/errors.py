@@ -23,6 +23,7 @@ __all__ = [
     "OutputTooLarge",
     "NotAnIdeal",
     "InvalidPresentation",
+    "UnsaturatedLattice",
     "MalformedInput",
     "InternalInvariantViolation",
     "unprintable_digits",
@@ -79,6 +80,10 @@ class NotAnIdeal(DomainError):
 
 class InvalidPresentation(DomainError):
     """Type-level invariant of a presentation failed at construction."""
+
+
+class UnsaturatedLattice(DomainError):
+    """The generators' lattice is not saturated, so they present another ring."""
 
 
 class MalformedInput(DomainError):

@@ -8,6 +8,7 @@ tracked unimodular transforms.  No floating point anywhere.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass, field
 from math import comb, gcd
 from operator import index
@@ -483,6 +484,5 @@ class IncrementalRank:
         if v[p] < 0:
             g = -g
         v = [x // g for x in v]
-        self._rows.append((p, v))
-        self._rows.sort(key=lambda pr: pr[0])
+        insort(self._rows, (p, v), key=lambda pr: pr[0])
         return True

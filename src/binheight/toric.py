@@ -16,14 +16,14 @@ The facets of cone(A), and from them its extreme rays, come from an exact
 integer double description of the dual cone: columns are added one at a
 time, and each adjacent pair of rays on opposite sides of the new column is
 combined into a primitive normal; `cap` bounds the pairs tried per column.
-Nonzero rank-sized minors of H factor as (row basis) x (column basis) of H's
-two matroids and every Jacobian generator is a semigroup element, so per ray
-the check compares a greedy minimum-weight row basis against a maximum-weight
-column basis under a functional that vanishes exactly on the ray.  The
-generators span ker(A), so H's column matroid is the dual of A's (Oxley,
-Matroid Theory, 2.2.8): its maximum-weight basis is the complement of a
-greedy minimum-weight basis of A's columns.  The literal minor enumeration
-serves only the generator listing.
+By the Jacobian criterion (Eisenbud, Commutative Algebra, 16.19-16.20) the
+ring is regular along ray rho iff the Jacobian matrix has rank h at the
+generic point of rho's torus orbit, whose nonzero coordinates are the columns
+S on rho (Cox, Little and Schenck, Toric Varieties, 3.2.6).  Entry (i, k) is
+g_ik times the monomial x^(g_i^+/- - e_k) of the side holding k, nonzero there
+exactly when that monomial's support lies in S; so each ray costs one exact
+rank of H_S, the matrix H with only those entries kept.  The literal minor
+enumeration serves only the generator listing.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Sequence
 from .binomial import ExponentVector, checked_generators, split_signs
 from .errors import (
     EnumerationCapExceeded,
-    IndexOutOfRange,
     InternalInvariantViolation,
     InvalidPresentation,
     LengthMismatch,
@@ -59,8 +58,6 @@ __all__ = [
     "ToricIdealPresentation",
     "JacobianIdealReport",
     "IsolatedSingularityReport",
-    "binomial_degree",
-    "jacobian_entry",
     "jacobian_generators",
     "semigroup_contains",
     "isolated_singularity_by_jacobian",
@@ -176,33 +173,6 @@ class ToricIdealPresentation:
     def degrees(self) -> tuple[tuple[int, ...], ...]:
         """Semigroup degree A*v_plus of each generator binomial."""
         return tuple(self.config.apply(split_signs(g)[0]) for g in self.generators)
-
-
-def binomial_degree(p: ToricIdealPresentation, v: Sequence[int]) -> tuple[int, ...]:
-    """Degree of the binomial with exponent vector v in the semigroup grading."""
-    v = tuple(int(x) for x in v)
-    if any(p.config.apply(v)):
-        raise NotInKernel("vector is not in the configuration kernel")
-    return p.config.apply(split_signs(v)[0])
-
-
-def jacobian_entry(
-    p: ToricIdealPresentation, i: int, j: int
-) -> tuple[int, tuple[int, ...] | None]:
-    """Entry (i, j) of the Jacobian matrix modulo the toric ideal.
-
-    Returns (coefficient, exponent): coefficient v_ij and the exponent of the
-    monomial deg(f_i) - a_j, or (0, None) where the derivative vanishes.
-    """
-    if not 0 <= i < len(p.generators):
-        raise IndexOutOfRange(f"generator {i} of {len(p.generators)}")
-    if not 0 <= j < p.config.matrix.cols:
-        raise IndexOutOfRange(f"variable {j} of {p.config.matrix.cols}")
-    coeff = p.generators[i][j]
-    if coeff == 0:
-        return (0, None)
-    exponent = tuple(d - a for d, a in zip(p.degrees[i], p.config.columns[j]))
-    return (coeff, exponent)
 
 
 @dataclass(frozen=True)
@@ -403,25 +373,6 @@ def isolated_singularity_by_jacobian(
     )
 
 
-def _greedy_basis_weight(
-    vectors: Sequence[Sequence[int]], weights: Sequence[int], target: int
-) -> int:
-    """Total weight of a greedy minimum-weight basis of the vector matroid."""
-    if target == 0:
-        return 0
-    order = sorted(range(len(vectors)), key=lambda i: (weights[i], i))
-    inc = IncrementalRank(len(vectors[0]))
-    total = 0
-    for i in order:
-        if inc.insert(vectors[i]):
-            total += weights[i]
-            if inc.rank == target:
-                return total
-    raise InternalInvariantViolation(
-        f"matroid rank {inc.rank} below requested basis size {target}"
-    )
-
-
 def _facets(
     pcols: Sequence[tuple[int, ...]], r: int, cap: int
 ) -> dict[tuple[int, ...], frozenset[int]]:
@@ -491,11 +442,11 @@ def _bare_ray(p: ToricIdealPresentation, cap: int) -> tuple[int, ...] | None:
     facet normals by double description (`_facets`).  The minimal face of a
     column is the intersection of the facets through it; a column spans an
     extreme ray exactly when every column of its minimal face has that same
-    minimal face.  Rays are taken in order of their first column, and each
-    is tested with the sum of the facet normals through it: the minimum
-    weight of a basis of H's row matroid must equal the maximum weight of a
-    basis of H's column matroid, which by duality is the total column weight
-    less the minimum weight of a basis of the projected columns of A.
+    minimal face.  Rays are taken in order of their first column, and ray S
+    carries a generator iff H_S has rank h (see module docstring).  A side of
+    a generator keeps all its entries in H_S when it has no mass outside S,
+    and only entry k when its whole mass outside S is x_k; so only generators
+    that meet S or have a linear side can keep an entry.
     """
     config = p.config
     n = config.matrix.cols
@@ -505,7 +456,6 @@ def _bare_ray(p: ToricIdealPresentation, cap: int) -> tuple[int, ...] | None:
         # cone is a single ray, and every Jacobian generator lies on it
         return None
     pcols = [tuple(config.columns[j][i] for i in rowidx) for j in range(n)]
-    pdegs = [tuple(d[i] for i in rowidx) for d in p.degrees]
     h = p.height
 
     facets = _facets(pcols, r, cap)
@@ -522,19 +472,46 @@ def _bare_ray(p: ToricIdealPresentation, cap: int) -> tuple[int, ...] | None:
         for ws in through
     ]
 
+    # each generator's two sides as (variable, signed coefficient) pairs, once
+    sides = []
+    meets: list[set[int]] = [set() for _ in range(n)]
+    for i, g in enumerate(p.generators):
+        nonzero = [(k, c) for k, c in enumerate(g) if c]
+        sides.append(
+            ([t for t in nonzero if t[1] > 0], [t for t in nonzero if t[1] < 0])
+        )
+        for k, _ in nonzero:
+            meets[k].add(i)
+    linear = {
+        i
+        for i, s in enumerate(sides)
+        if any(len(t) == 1 and abs(t[0][1]) == 1 for t in s)
+    }
+
     for j in range(n):
         ray = minimal[j]
         if min(ray) != j or any(minimal[k] != ray for k in ray):
             continue  # a later column of a ray already seen, or not a ray
-        w = [sum(col) for col in zip(*through[j])]
-        roww = [sum(a * b for a, b in zip(w, d)) for d in pdegs]
-        colw = [sum(a * b for a, b in zip(w, pc)) for pc in pcols]
-        lo = _greedy_basis_weight(p.generators, roww, h)
-        hi = sum(colw) - _greedy_basis_weight(pcols, colw, r)
-        if lo - hi < 0:
-            raise InternalInvariantViolation(
-                "minimum Jacobian generator weight below zero on a ray functional"
-            )
-        if lo != hi:
+        rows: set[tuple[tuple[int, int], ...]] = set()  # repeated rows add no rank
+        for i in linear.union(*(meets[k] for k in ray)):
+            kept: list[tuple[int, int]] = []
+            for side in sides[i]:
+                out = [(k, c) for k, c in side if k not in ray]
+                if not out:
+                    kept += side
+                elif len(out) == 1 and abs(out[0][1]) == 1:
+                    kept += out
+            if kept:
+                rows.add(tuple(kept))
+        where = {k: t for t, k in enumerate({k for row in rows for k, _ in row})}
+        inc = IncrementalRank(len(where))
+        for row in rows:
+            if inc.rank == h:
+                break
+            v = [0] * len(where)
+            for k, c in row:
+                v[where[k]] = c
+            inc.insert(v)
+        if inc.rank < h:
             return tuple(sorted(ray))
     return None

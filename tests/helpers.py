@@ -7,16 +7,25 @@ package through different code paths.
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from math import comb, gcd
 from typing import Iterable, Sequence
 
+from binheight.binomial import split_signs
+from binheight.errors import IndexOutOfRange, NotInKernel
 from binheight.hibi import Poset
-from binheight.linalg import IntegerMatrix, smith_normal_form
+from binheight.linalg import (
+    DEFAULT_ENUMERATION_CAP,
+    IncrementalRank,
+    IntegerMatrix,
+    smith_normal_form,
+)
 from binheight.polyomino import CellCollection
 from binheight.toric import (
     ToricConfiguration,
     ToricIdealPresentation,
+    _facets,
     jacobian_generators,
 )
 
@@ -148,8 +157,9 @@ def poset_from_relation(n: int, rel: Iterable[tuple[int, int]]) -> Poset:
     )
 
 
-def poset_classes(n: int) -> list[frozenset[tuple[int, int]]]:
-    """One relation set per isomorphism class of posets on {0..n-1}."""
+@cache
+def poset_classes(n: int) -> tuple[frozenset[tuple[int, int]], ...]:
+    """One relation set per isomorphism class of posets on {0..n-1}, computed once."""
     seen = set()
     out = []
     for rel in labeled_posets(n):
@@ -160,7 +170,7 @@ def poset_classes(n: int) -> list[frozenset[tuple[int, int]]]:
         if canon not in seen:
             seen.add(canon)
             out.append(rel)
-    return out
+    return tuple(out)
 
 
 def set_presentation(p: Poset):
@@ -303,7 +313,7 @@ def random_kernel_presentation(
 
     Columns are distinct and nonzero with entries 0..3, so m rows allow at
     most 4^m - 1 of them; there are more columns than rows, so the
-    kernel is nonzero.  The basis is the tail of the Smith column transform.
+    kernel is nonzero.
     """
     m = rng.randrange(1, max_rows + 1)
     n = rng.randrange(m + 1, min(max_cols, 4**m - 1) + 1)
@@ -314,7 +324,16 @@ def random_kernel_presentation(
             cols.add(col)
     order = sorted(cols)
     rng.shuffle(order)
-    a = IntegerMatrix.from_rows([[c[i] for c in order] for i in range(m)], cols=n)
+    return kernel_presentation(order)
+
+
+def kernel_presentation(columns: Sequence[Sequence[int]]) -> ToricIdealPresentation:
+    """The configuration with these columns and a lattice basis of its kernel.
+
+    The basis is the tail of the Smith column transform.
+    """
+    m, n = len(columns[0]), len(columns)
+    a = IntegerMatrix.from_rows([[c[i] for c in columns] for i in range(m)], cols=n)
     d = smith_normal_form(a)
     basis = tuple(d.v.column(j) for j in range(len(d.divisors), n))
     return ToricIdealPresentation(config=ToricConfiguration(a), generators=basis)
@@ -362,3 +381,91 @@ def brute_force_facets(
         facets[tuple(x // g for x in w)] = zeros
         covered.update(frozenset(sub) for sub in combinations(sorted(zeros), r - 1))
     return facets
+
+
+def binomial_degree(p: ToricIdealPresentation, v: Sequence[int]) -> tuple[int, ...]:
+    """Degree of the binomial with exponent vector v in the semigroup grading."""
+    v = tuple(int(x) for x in v)
+    if any(p.config.apply(v)):
+        raise NotInKernel("vector is not in the configuration kernel")
+    return p.config.apply(split_signs(v)[0])
+
+
+def jacobian_entry(
+    p: ToricIdealPresentation, i: int, j: int
+) -> tuple[int, tuple[int, ...] | None]:
+    """Entry (i, j) of the Jacobian matrix modulo the toric ideal.
+
+    Returns (coefficient, exponent): coefficient v_ij and the exponent of the
+    monomial deg(f_i) - a_j, or (0, None) where the derivative vanishes.
+    """
+    if not 0 <= i < len(p.generators):
+        raise IndexOutOfRange(f"generator {i} of {len(p.generators)}")
+    if not 0 <= j < p.config.matrix.cols:
+        raise IndexOutOfRange(f"variable {j} of {p.config.matrix.cols}")
+    coeff = p.generators[i][j]
+    if coeff == 0:
+        return (0, None)
+    exponent = tuple(d - a for d, a in zip(p.degrees[i], p.config.columns[j]))
+    return (coeff, exponent)
+
+
+def greedy_basis_weight(
+    vectors: Sequence[Sequence[int]], weights: Sequence[int], target: int
+) -> int:
+    """Total weight of a greedy minimum-weight basis of the vector matroid."""
+    if target == 0:
+        return 0
+    order = sorted(range(len(vectors)), key=lambda i: (weights[i], i))
+    inc = IncrementalRank(len(vectors[0]))
+    total = 0
+    for i in order:
+        if inc.insert(vectors[i]):
+            total += weights[i]
+            if inc.rank == target:
+                return total
+    raise AssertionError(f"matroid rank {inc.rank} below requested basis size {target}")
+
+
+def greedy_bare_ray(
+    p: ToricIdealPresentation, cap: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[int, ...] | None:
+    """First extreme ray of cone(A) without a Jacobian generator, by weights.
+
+    The same rays in the same order as the package, each tested through the
+    sum w of the facet normals through it, a functional that vanishes exactly
+    on the ray.  Every term of an h-minor of H has the same w-weight
+    sum(w.deg(C)) - sum(w.a(D)), each entry's weight is >= 0, and it is 0
+    exactly on the entries kept on the ray; so the ray carries a generator
+    iff a minimum-weight basis of H's rows weighs as much as a maximum-weight
+    basis of H's columns.  The generators span ker(A), so H's column matroid
+    is the dual of A's (Oxley, Matroid Theory, 2.2.8): its maximum-weight
+    basis is the complement of a minimum-weight basis of A's columns.
+    """
+    config = p.config
+    n = config.matrix.cols
+    rowidx = config.independent_rows
+    r = len(rowidx)
+    if r <= 1:
+        return None
+    pcols = [tuple(config.columns[j][i] for i in rowidx) for j in range(n)]
+    pdegs = [tuple(d[i] for i in rowidx) for d in p.degrees]
+    facets = _facets(pcols, r, cap)
+    through = [[w for w, z in facets.items() if j in z] for j in range(n)]
+    minimal = [
+        frozenset.intersection(*(facets[w] for w in ws)) if ws else frozenset(range(n))
+        for ws in through
+    ]
+    for j in range(n):
+        ray = minimal[j]
+        if min(ray) != j or any(minimal[k] != ray for k in ray):
+            continue
+        w = [sum(col) for col in zip(*through[j])]
+        roww = [sum(a * b for a, b in zip(w, d)) for d in pdegs]
+        colw = [sum(a * b for a, b in zip(w, pc)) for pc in pcols]
+        lo = greedy_basis_weight(p.generators, roww, p.height)
+        hi = sum(colw) - greedy_basis_weight(pcols, colw, r)
+        assert lo >= hi, "minimum Jacobian generator weight below zero on a ray"
+        if lo != hi:
+            return tuple(sorted(ray))
+    return None

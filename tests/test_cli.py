@@ -258,6 +258,19 @@ class TestJacobian:
         assert r["jacobian_generators"] == [[0] * 999]
         assert r["reduced"] is True
 
+    def test_isolated_refuses_an_unsaturated_lattice(self, capsys, tmp_path):
+        # [2, -4, 2] spans the conic's kernel over Q but has index 2 in it
+        payload = {"A": [[1, 1, 1], [0, 1, 2]], "generators": [[2, -4, 2]]}
+        path = write_json(tmp_path, payload)
+        code, out, err = run(capsys, ["jacobian", "--json", "--isolated", path])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("UnsaturatedLattice: ")
+        assert "elementary divisors are [2]" in err
+        # the listing alone does not need the lattice to be saturated
+        assert run_json(capsys, ["jacobian", "--json", path])["results"]["h"] == 1
+        # the saturated [1, -2, 1] still answers: test_generators_and_verdict
+
     def test_modulus(self, capsys, tmp_path):
         payload = {"A": [[1, 1, 1], [0, 1, 2]], "generators": [[2, -4, 2]]}
         path = write_json(tmp_path, payload)
@@ -323,6 +336,16 @@ class TestHibi:
         assert r["ideal_count"] == 4
         assert r["height"] == 1
         assert r["isolated"]["status"] == "isolated"
+        assert r["jacobian_crosscheck"]["agrees"] is True
+
+    def test_six_antichain_crosscheck(self, capsys, tmp_path):
+        # 64 ideals and 1,351 relations of rank h = 57; each of the 64 extreme
+        # rays gets one masked rank
+        path = write_json(tmp_path, {"elements": list("abcdef"), "covers": []})
+        argv = ["hibi", "--json", "--jacobian-crosscheck", path]
+        r = run_json(capsys, argv)["results"]
+        assert r["ideal_count"] == 64
+        assert r["jacobian_crosscheck"]["verdict"] is True
         assert r["jacobian_crosscheck"]["agrees"] is True
 
     def test_cap_reaches_facet_enumeration(self, capsys, tmp_path):

@@ -3,6 +3,8 @@ from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binheight.errors import (
     EnumerationCapExceeded,
@@ -23,20 +25,24 @@ from binheight.toric import (
     PERFECT_FIELD_CAVEAT,
     ToricConfiguration,
     ToricIdealPresentation,
-    binomial_degree,
     isolated_singularity_by_jacobian,
-    jacobian_entry,
     jacobian_generators,
     semigroup_contains,
+    _bare_ray,
     _facets,
-    _greedy_basis_weight,
 )
 from helpers import (
+    binomial_degree,
     brute_force_facets,
+    greedy_bare_ray,
+    greedy_basis_weight,
+    jacobian_entry,
+    kernel_presentation,
     labeled_posets,
     literal_fits,
     literal_isolated,
     max_weight_column_basis,
+    poset_classes,
     poset_from_relation,
     projected_columns,
     random_kernel_presentation,
@@ -351,7 +357,7 @@ class TestColumnDuality:
         for p in presentations:
             pcols = projected_columns(p.config)
             w = [rng.randrange(-5, 6) for _ in pcols]
-            dual = sum(w) - _greedy_basis_weight(pcols, w, len(pcols[0]))
+            dual = sum(w) - greedy_basis_weight(pcols, w, len(pcols[0]))
             assert max_weight_column_basis(p.generators, w) == dual, pcols
 
 
@@ -393,12 +399,44 @@ class TestIsolatedSingularity:
                 else:
                     expected = hibi_verdict(poset).status == "isolated"
                 assert (bool(r.verdict) or r.zero_ideal) == expected, sorted(rel)
+        # the 5-element classes have 6 to 32 ideals; the chain criterion is
+        # the oracle for all of them
+        for rel in poset_classes(5):
+            poset = poset_from_relation(5, rel)
+            r = isolated_singularity_by_jacobian(hibi_presentation(poset).toric)
+            expected = hibi_verdict(poset).status == "isolated"
+            assert (bool(r.verdict) or r.zero_ideal) == expected, sorted(rel)
         rng = random.Random(337)
         for _ in range(120):
             p = random_kernel_presentation(rng)
             r = isolated_singularity_by_jacobian(p)
             assert r.method == "face-decomposition"
             assert r.verdict == literal_isolated(p), p.config.columns
+
+    def test_ray_matches_greedy_oracle(self):
+        # the masked rank names the same first bare ray as the weighted
+        # greedy bases of tests/helpers.py, not only the same verdict
+        presentations = [
+            hibi_presentation(poset_from_relation(n, rel)).toric
+            for n in range(5)
+            for rel in labeled_posets(n)
+        ]
+        presentations += [
+            hibi_presentation(poset_from_relation(5, rel)).toric
+            for rel in poset_classes(5)
+        ]
+        rng = random.Random(2026)
+        presentations += [
+            random_kernel_presentation(rng, max_rows=4, max_cols=8)
+            for _ in range(600)
+        ]
+        outcomes = {True: 0, False: 0}
+        for p in presentations:
+            if p.generators:
+                ray = _bare_ray(p, cap=10**7)
+                assert ray == greedy_bare_ray(p), (p.config.columns, p.generators)
+                outcomes[ray is None] += 1
+        assert min(outcomes.values()) > 200, outcomes
 
     def test_cap_reaches_facet_enumeration(self):
         # 16 ideals in 5 rows; the double description of the facets tries at
@@ -418,3 +456,22 @@ class TestIsolatedSingularity:
         # that no Jacobian generator lies on
         assert r.note.endswith("extreme ray spanned by y()")
         assert all(any(u[1:]) for u in jacobian_generators(p).generators)
+
+
+@st.composite
+def nonnegative_columns(draw):
+    """Distinct nonzero columns with entries 0..3, more of them than rows."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m + 1, min(7, 4**m - 1)))
+    column = st.tuples(*[st.integers(0, 3)] * m).filter(any)
+    return draw(st.lists(column, min_size=n, max_size=n, unique=True))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(columns=nonnegative_columns())
+def test_ray_decision_on_random_configurations(columns):
+    p = kernel_presentation(columns)
+    ray = _bare_ray(p, cap=10**7)
+    assert ray == greedy_bare_ray(p)
+    if literal_fits(p):
+        assert isolated_singularity_by_jacobian(p).verdict == literal_isolated(p)
